@@ -40,11 +40,6 @@ def _value_stride(values) -> float | None:
 class CAESM(SM):
     """SM with two affine functional units (runtime affine tracking)."""
 
-    # The issue interval depends on runtime affine-eligibility decided
-    # inside issue() — not the static decode — so the batched engine's
-    # chain replay (which assumes plain SIMT-lane ALU timing) opts out.
-    chain_ok = False
-
     def __init__(self, gpu, index: int):
         super().__init__(gpu, index)
         self._issued_affine = False
@@ -63,12 +58,12 @@ class CAESM(SM):
         return None
 
     def _affine_eligible(self, warp: WarpContext, inst: Instruction,
-                         mask) -> bool:
+                         mask: np.ndarray) -> bool:
         if inst.opcode not in CAE_CAPABLE_OPS:
             return False
         if inst.guard is not None:
             return False                      # no predication on affine units
-        if not warp.mask_is_initial(mask):
+        if not np.array_equal(mask, warp.initial_mask):
             return False                      # no divergence support [13]
         strides = [self._operand_stride(warp, op) for op in inst.srcs]
         if any(s is None for s in strides):
@@ -97,7 +92,7 @@ class CAESM(SM):
         return interval
 
     def on_alu_executed(self, warp: WarpContext, inst: Instruction,
-                        mask) -> None:
+                        mask: np.ndarray) -> None:
         eligible = self._affine_eligible(warp, inst, mask)
         if eligible:
             self._issued_affine = True
@@ -105,11 +100,11 @@ class CAESM(SM):
             # The affine unit computes the (base, stride) pair: roughly two
             # ALU ops instead of 32 lane ops.
             self.stats.add("cae.affine_alu_ops", 2)
-            self.stats.add("alu_ops", -warp.mask_count(mask) + 2)
+            self.stats.add("alu_ops", -int(np.count_nonzero(mask)) + 2)
         for dst in inst.written_regs():
             if not isinstance(dst, Register):
                 continue
-            if warp.mask_all(mask) or warp.mask_is_initial(mask):
+            if mask.all() or np.array_equal(mask, warp.initial_mask):
                 warp.cae_stride[dst.name] = _value_stride(
                     warp.regs.get(dst.name, 0.0))
             else:

@@ -684,22 +684,10 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--no-history", action="store_true",
                       help="skip appending this run to "
                            "BENCH_history.jsonl")
-    perf.add_argument("--datapath", choices=("scalar", "vector"),
-                      default="scalar",
-                      help="warp datapath to benchmark (both must "
-                           "reproduce the committed goldens "
-                           "bit-identically; recorded per cell in the "
-                           "bench JSON)")
-    perf.add_argument("--issue-engine", choices=("walk", "batched"),
-                      dest="issue_engine", default="walk",
-                      help="timing loop to benchmark: the reference "
-                           "per-warp walk or the batched readiness-column "
-                           "engine (bit-identical Stats required either "
-                           "way; recorded per cell in the bench JSON)")
     perf.add_argument("--profile", action="store_true",
                       help="additionally cProfile one rep per cell and "
                            "write a top-25-cumulative report (with the "
-                           "timing-loop vs datapath own-time split) next "
+                           "timing-loop vs issue-path own-time split) next "
                            "to the bench JSON")
     perf.set_defaults(func=_cmd_perf)
 

@@ -99,19 +99,6 @@ class GPUConfig:
 
     # Technique selection: "baseline", "dac", "cae", or "mta".
     technique: str = "baseline"
-    # Datapath selection: "scalar" is the reference per-warp implementation
-    # (the differential oracle); "vector" is the batched numpy datapath
-    # (bitmask SIMT stacks, pooled register file, compiled lane ops).  Both
-    # must produce bit-identical memory images and Stats.
-    datapath: str = "scalar"
-    # Issue-engine selection: "walk" is the reference per-warp scheduler
-    # walk (the differential oracle, kept verbatim); "batched" replaces the
-    # walk with incrementally maintained readiness columns, a rotated
-    # first-set-bit selection, ALU dependence-chain execution, and a global
-    # next-wake heap on the GPU loop.  Both must produce bit-identical
-    # cycles and Stats.  Tracing, fault injection, and runtime checkers pin
-    # the walk engine (they are defined per executed scheduler walk).
-    issue_engine: str = "walk"
     dac: DACConfig = field(default_factory=DACConfig)
     cae: CAEConfig = field(default_factory=CAEConfig)
     mta: MTAConfig = field(default_factory=MTAConfig)
@@ -154,26 +141,10 @@ class GPUConfig:
                      num_mshrs=max(96, int(self.l2.num_mshrs * factor)))
         return replace(self, num_sms=num_sms, l2=l2)
 
-    def __post_init__(self):
-        if self.datapath not in ("scalar", "vector"):
-            raise ValueError(f"unknown datapath: {self.datapath}")
-        if self.issue_engine not in ("walk", "batched"):
-            raise ValueError(f"unknown issue engine: {self.issue_engine}")
-
     def with_technique(self, technique: str) -> "GPUConfig":
         if technique not in ("baseline", "dac", "cae", "mta"):
             raise ValueError(f"unknown technique: {technique}")
         return replace(self, technique=technique)
-
-    def with_datapath(self, datapath: str) -> "GPUConfig":
-        if datapath not in ("scalar", "vector"):
-            raise ValueError(f"unknown datapath: {datapath}")
-        return replace(self, datapath=datapath)
-
-    def with_issue_engine(self, issue_engine: str) -> "GPUConfig":
-        if issue_engine not in ("walk", "batched"):
-            raise ValueError(f"unknown issue engine: {issue_engine}")
-        return replace(self, issue_engine=issue_engine)
 
     def with_perfect_memory(self) -> "GPUConfig":
         return replace(self, perfect_memory=True)

@@ -388,17 +388,6 @@ class AffineWarpHandle:
         self.execs: list[AffineCTAExec] = []
         self._rr = 0
 
-    @property
-    def done(self) -> bool:
-        """True when no resident affine stream can ever issue again.  The
-        batched engine's chain-eligibility check reads this like a warp's
-        ``done`` flag (a finished exec stays resident until CTA retire but
-        its ``ready`` is permanently False)."""
-        for exec_ in self.execs:
-            if not exec_.done:
-                return False
-        return True
-
     def add(self, exec_: AffineCTAExec) -> None:
         self.execs.append(exec_)
 

@@ -74,10 +74,10 @@ class DACSM(SM):
                 # ... and a popped record frees the space a full-queue-
                 # blocked expansion scan waits on.
                 warp.pwaq = PerWarpQueue(self._pwaq_capacity,
-                                         on_push=_record_wake(warp),
+                                         on_push=warp.sched.wake,
                                          on_pop=self.aeu.wake)
                 warp.pwpq = PerWarpQueue(self._pwpq_capacity,
-                                         on_push=_record_wake(warp),
+                                         on_push=warp.sched.wake,
                                          on_pop=self.peu.wake)
         program = self.program
         if program is None or not program.is_decoupled:
@@ -116,10 +116,8 @@ class DACSM(SM):
         # blocked on (and the drained queues freed record space).
         self.aeu.wake()
         self.peu.wake()
-        # The affine handle's readiness changed (one stream is gone); on
-        # the walk engine this is just a wake, on the batched engine it
-        # also marks the handle's readiness column dirty.
-        self.schedulers[0].wake_warp(self.affine_handle)
+        # The affine handle's readiness changed (one stream is gone).
+        self.schedulers[0].wake()
 
     # ---- wake plumbing ---------------------------------------------------
 
@@ -129,47 +127,7 @@ class DACSM(SM):
         self.peu.wake()
 
     def _wake_affine(self) -> None:
-        self.schedulers[0].wake_warp(self.affine_handle)
-
-    # ---- batched-engine readiness mirror ---------------------------------
-
-    def tick_units(self) -> list:
-        # Intra-cycle rank order of DACSM.cycle: AEU, PEU, then schedulers.
-        return [self.aeu, self.peu, *self.schedulers]
-
-    def classify_warp(self, warp) -> tuple[bool, bool, int]:
-        """Readiness mirror of the DAC issue paths (:meth:`try_issue`,
-        :meth:`_try_issue_affine`, :meth:`_try_issue_deq`) for the batched
-        engine's columns — same contract as the base method."""
-        if warp is self.affine_handle:
-            now = self.gpu.now
-            for exec_ in self.affine_handle.execs:
-                if exec_.ready(now):
-                    return True, False, 0
-            return False, False, 0
-        if isinstance(warp, WarpContext) and not warp.done \
-                and not warp.at_barrier:
-            decoded = warp.code[warp.pc]
-            if decoded.deq_token is not None:
-                if not warp.scoreboard_ready(decoded):
-                    return False, False, 0
-                mask, active = warp.issue_mask(decoded)
-                if not active:
-                    return True, False, 0      # predicated-off: issues
-                if decoded.deq_kind == "pred":
-                    if warp.pwpq.head() is None:
-                        return False, False, 1
-                    return True, False, 0      # pred deq skips the LSU
-                record = warp.pwaq.head()
-                if record is None:
-                    return False, False, 2
-                if record.kind != decoded.deq_kind:
-                    return True, False, 0      # issue raises the mismatch
-                if decoded.deq_kind == "data" \
-                        and record.fills_remaining > 0:
-                    return False, False, 3
-                return True, True, 0
-        return super().classify_warp(warp)
+        self.schedulers[0].wake()
 
     # ---- cycle -----------------------------------------------------------
 
@@ -344,9 +302,8 @@ class DACSM(SM):
         return self.config.issue_interval
 
     def _finish_deq_load(self, warp: WarpContext, inst: Instruction,
-                         record, mask, now: int) -> None:
-        values = warp.launch.memory.load(record.addrs,
-                                         warp.mask_bools(mask))
+                         record, mask: np.ndarray, now: int) -> None:
+        values = warp.launch.memory.load(record.addrs, mask)
         dst = inst.dsts[0]
         warp.executor.write(dst, values, mask)
         self.stats.add("dac.deq_loads")
@@ -384,37 +341,21 @@ class DACSM(SM):
                                                _dec_mem(w)))
         self.stats.add("l1.deq_reads", len(record.lines))
         self.lsu_free = now + max(1, len(record.lines))
-        if self._engine is not None:
-            self._engine.note_lsu(self)
 
     def _finish_deq_store(self, warp: WarpContext, inst: Instruction,
-                          record, mask, now: int) -> None:
+                          record, mask: np.ndarray, now: int) -> None:
         raw = warp.executor.value(inst.srcs[0])
         values = np.broadcast_to(np.asarray(raw, dtype=np.float64),
                                  (warp.width,))
-        bools = warp.mask_bools(mask)
         if inst.opcode is Opcode.ATOM:
-            warp.launch.memory.atomic_add(record.addrs, values, bools)
+            warp.launch.memory.atomic_add(record.addrs, values, mask)
         else:
-            warp.launch.memory.store(record.addrs, values, bools)
+            warp.launch.memory.store(record.addrs, values, mask)
         self.stats.add("dac.deq_stores")
         for line in record.lines:
             self.l1.write(line, now)
         self.lsu_free = now + max(1, len(record.lines))
-        if self._engine is not None:
-            self._engine.note_lsu(self)
 
 
 def _dec_mem(warp: WarpContext) -> None:
     warp.mem_pending -= 1
-
-
-def _record_wake(warp: WarpContext):
-    """Targeted per-warp wake closure for queue pushes: the record's
-    destination warp is known, so the batched engine can dirty exactly its
-    readiness column (the walk engine just clears the sleep cache)."""
-    def hook(w=warp):
-        sched = w.sched
-        if sched is not None:
-            sched.wake_warp(w)
-    return hook

@@ -30,16 +30,6 @@ class ExpansionUnit:
     invisible to the timing model.
     """
 
-    # Batched-engine wiring (issue_engine.BatchedState assigns these; the
-    # walk engine leaves the defaults, making wake() a single store).
-    _engine = None
-    _rank = -1
-    _bit = 0
-    # A busy unit is mid-expansion: its tick reports progress (True), so
-    # the batched run loop's skip-while-busy shortcut must count it as
-    # issuing (schedulers return False while busy).
-    _busy_progress = True
-
     def __init__(self, sm, atq: ATQ, name: str):
         self.sm = sm
         self.atq = atq
@@ -50,20 +40,11 @@ class ExpansionUnit:
 
     def wake(self) -> None:
         self._asleep = False
-        engine = self._engine
-        if engine is not None:
-            engine.awake |= self._bit
 
     def tick(self, now: int) -> bool:
         """One cycle of work.  Returns True when the unit made progress or
         is still mid-expansion (so the GPU loop does not fast-forward past
         it)."""
-        if not self.sm.affine_execs:
-            # The walk loop (DACSM.cycle) gates expansion ticks on live
-            # affine streams; the batched loop ticks units directly, so
-            # the same gate lives here (unreachable under the walk).
-            self._asleep = True
-            return False
         if now < self.busy_until:
             return True
         if self._asleep:
@@ -197,11 +178,10 @@ class AddressExpansionUnit(ExpansionUnit):
         record.fills_remaining -= 1
         record.fill_time = max(record.fill_time, now)
         # The destination warp may be cached as blocked on this record's
-        # outstanding fills: every fill re-checks (conservative but cheap;
-        # the batched engine additionally dirties the warp's column).
+        # outstanding fills: every fill re-checks (conservative but cheap).
         sched = warp.sched
         if sched is not None:
-            sched.wake_warp(warp)
+            sched.wake()
         if record.fills_remaining == 0 and self.sm.trace_on:
             self.sm.tracer.record_fill(now, self.sm.index, record.queue_id)
 

@@ -184,9 +184,7 @@ def time_cell(abbr: str, technique: str, scale: str,
 
 def bench_matrix(quick: bool = False, reps: int = DEFAULT_REPS,
                  config: GPUConfig | None = None,
-                 progress=None, alpha: float = 0.05,
-                 datapath: str = "scalar",
-                 issue_engine: str = "walk") -> dict:
+                 progress=None, alpha: float = 0.05) -> dict:
     """Run the matrix; returns the ``BENCH_*.json`` payload.
 
     Every cell is simulated ``reps`` times; all samples are recorded and
@@ -195,19 +193,13 @@ def bench_matrix(quick: bool = False, reps: int = DEFAULT_REPS,
     Welch-t-tested against the reference distribution from
     ``BENCH_baseline.json`` to produce a ``win`` / ``regression`` /
     ``inconclusive`` verdict.  ``quick`` restricts the matrix to the
-    tiny-scale golden cells (the CI smoke matrix).  ``datapath`` selects
-    the warp datapath and ``issue_engine`` the timing loop; the goldens
-    are independent of both (bit-identity across the knobs is itself a
-    gate), so any setting must reproduce them exactly.
+    tiny-scale golden cells (the CI smoke matrix).
     """
-    config = (config or experiment_config()).with_datapath(datapath) \
-        .with_issue_engine(issue_engine)
+    config = config or experiment_config()
     cells = GOLDEN_MATRIX if quick else GOLDEN_MATRIX + BENCH_MATRIX
     reference = load_reference()
     out: dict = {"schema": "repro-bench/2", "quick": bool(quick),
                  "reps": int(max(1, reps)), "alpha": alpha,
-                 "datapath": config.datapath,
-                 "issue_engine": config.issue_engine,
                  "reference_available": reference is not None,
                  "cells": {}, "mismatches": {}}
     speedups = []
@@ -240,8 +232,6 @@ def bench_matrix(quick: bool = False, reps: int = DEFAULT_REPS,
             t_test = test.as_dict()
         out["cells"][name] = {
             "cycles": result.cycles,
-            "datapath": config.datapath,
-            "issue_engine": config.issue_engine,
             "samples_wall_seconds": samples,
             "reps": summary.n,
             "wall_seconds": summary.mean,
@@ -299,14 +289,6 @@ def bench_report(payload: dict) -> str:
          "speedup", "verdict", "stats"],
         rows, "simulator throughput")
     lines = [table]
-    datapath = payload.get("datapath")
-    if datapath and datapath != "scalar":
-        lines.append(f"\nwarp datapath: {datapath} (goldens are "
-                     "datapath-independent)")
-    engine = payload.get("issue_engine")
-    if engine and engine != "walk":
-        lines.append(f"\nissue engine: {engine} (goldens are "
-                     "engine-independent)")
     if not payload.get("reference_available", True):
         lines.append(
             "\nno wall-clock reference; speedups and verdicts unavailable "
@@ -332,21 +314,20 @@ def bench_report(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 # cProfile support (``repro perf --profile``)
 
-#: Functions charged to the *timing loop* (scheduler walk / batched issue
-#: engine) when splitting a profile; everything under ``SM.issue`` is the
-#: datapath (decode dispatch, ALU/memory models, stats).
-_TIMING_LOOP_FILES = ("sim/scheduler.py", "sim/issue_engine.py")
-_TIMING_LOOP_FUNCS = (("sim/gpu.py", "run"), ("sim/gpu.py", "run_until"),
-                      ("sim/sm.py", "cycle"), ("sim/sm.py", "try_issue"),
-                      ("sim/sm.py", "classify_warp"))
+#: Functions charged to the *timing loop* (the scheduler walk and the GPU
+#: cycle loop) when splitting a profile; everything under ``SM.issue`` is
+#: the issue path (decode dispatch, ALU/memory models, stats).
+_TIMING_LOOP_FILES = ("sim/scheduler.py",)
+_TIMING_LOOP_FUNCS = (("sim/gpu.py", "run"), ("events.py", "run_until"),
+                      ("sim/sm.py", "cycle"), ("sim/sm.py", "try_issue"))
 
 
 def profile_cell(abbr: str, technique: str, scale: str,
                  config: GPUConfig | None = None):
     """cProfile one simulation of a cell; returns ``(profiler, split)``
     where ``split`` apportions own-time between the timing loop (the
-    scheduler walk or the batched issue engine) and everything else —
-    the datapath share is what bounds any engine speedup (Amdahl)."""
+    scheduler walk) and everything else — the issue-path share is what
+    bounds any timing-loop speedup (Amdahl)."""
     import cProfile
 
     profiler = cProfile.Profile()
@@ -383,7 +364,7 @@ def profile_cell(abbr: str, technique: str, scale: str,
 def profile_matrix(cells, config: GPUConfig | None = None,
                    top: int = 25, progress=None) -> tuple[str, dict]:
     """cProfile every cell once; returns ``(report_text, splits)`` with a
-    top-``top``-cumulative table per cell plus the timing-loop/datapath
+    top-``top``-cumulative table per cell plus the timing-loop/issue-path
     split (the evidence the perf verdicts are judged against)."""
     import io
     import pstats
@@ -495,11 +476,8 @@ def main_perf(args) -> int:
                   "into BENCH_history.jsonl", file=sys.stderr)
         print(perfstats.history_report(perfstats.load_history(HISTORY_PATH)))
         return 0
-    datapath = getattr(args, "datapath", "scalar")
-    issue_engine = getattr(args, "issue_engine", "walk")
     payload = bench_matrix(
         quick=args.quick, reps=args.reps,
-        datapath=datapath, issue_engine=issue_engine,
         progress=lambda done, total, name, cell: print(
             f"  [{done}/{total}] {name}: {_fmt_mean_ci(cell)}s "
             f"({cell['sim_cycles_per_second']:,.0f} cyc/s)"
@@ -510,8 +488,7 @@ def main_perf(args) -> int:
     out = args.out or default_bench_path()
     if getattr(args, "profile", False):
         cells = GOLDEN_MATRIX if args.quick else GOLDEN_MATRIX + BENCH_MATRIX
-        config = experiment_config().with_datapath(datapath) \
-            .with_issue_engine(issue_engine)
+        config = experiment_config()
         print("profiling each cell (one extra profiled rep)...",
               file=sys.stderr)
         text, splits = profile_matrix(

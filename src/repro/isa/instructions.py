@@ -263,7 +263,6 @@ class Decoded:
         "is_load", "is_shared", "is_enq", "needs_lsu", "mem_ref",
         "guard_pred", "guard_negated", "deq_token", "deq_kind", "dst_name",
         "affine_stat_key",
-        "vop",                     # compiled vector-datapath ALU micro-op
     )
 
     def __init__(self, inst: Instruction):
@@ -305,17 +304,15 @@ class Decoded:
         self.dst_name = inst.dsts[0].name \
             if inst.dsts and isinstance(inst.dsts[0], (Register, PredReg)) \
             else None
-        # Lazily compiled by the vector datapath (repro.sim.vector); one
-        # closure per static instruction, shared by every warp and SM.
-        self.vop = None
 
     def __repr__(self) -> str:
         return f"Decoded({self.inst!r})"
 
-    # Every field is derived from ``inst``, and ``vop`` may hold a closure
-    # (unpicklable) — so pickling reduces to the instruction and re-derives.
-    # The decode cache travels with kernels into worker processes
-    # (harness/parallel.py); workers recompile micro-ops lazily.
+    # Every field is derived from ``inst``, so pickling reduces to the
+    # instruction and re-derives.  The decode cache travels with kernels
+    # (a DAC result's ``extra["program"]``) into disk-cache entries and
+    # worker payloads; pickling the derived slots too would make a DAC
+    # cache entry ~20% larger.
     def __getstate__(self):
         return self.inst
 

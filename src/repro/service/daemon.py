@@ -149,7 +149,8 @@ class ExperimentDaemon:
     def _replay(self) -> None:
         """Idempotent journal replay: done cells answer instantly,
         quarantined cells stay quarantined, pending cells re-enter the
-        queue with their strike counts intact."""
+        queue with their strike counts intact, and cells whose wire task
+        no longer decodes are quarantined."""
         replayed = self.journal.replay()
         resumed = requeued = 0
         for digest, entry in replayed.items():
@@ -160,15 +161,21 @@ class ExperimentDaemon:
                 self.jobs[digest] = _DaemonJob(wire_task, DONE)
                 self.report.resumed += 1
                 resumed += 1
-            elif entry["status"] == "quarantined":
+                continue
+            try:
+                task, scale = task_from_wire(wire_task)
+            except ProtocolError as exc:
+                # A job this build can no longer decode (e.g. its config
+                # names a since-removed field) must not abort start().
+                self._quarantine_undecodable(digest, wire_task, entry, exc)
+                continue
+            if entry["status"] == "quarantined":
                 job = _DaemonJob(wire_task, QUARANTINED)
                 job.error = entry["error"] or "quarantined"
                 self.jobs[digest] = job
-                task, _scale = task_from_wire(wire_task)
                 self.report.quarantined.append(task)
                 self.report.failures[task] = job.error
             else:
-                task, scale = task_from_wire(wire_task)
                 self.jobs[digest] = _DaemonJob(wire_task, INFLIGHT)
                 self.supervisor.submit(digest, task, scale,
                                        strikes=entry["strikes"])
@@ -177,6 +184,22 @@ class ExperimentDaemon:
         if resumed or requeued:
             self._log(f"journal replay: {resumed} done, "
                       f"{requeued} requeued")
+
+    def _quarantine_undecodable(self, digest: str, wire_task: dict,
+                                entry: dict, exc: ProtocolError) -> None:
+        """Quarantine a replayed job whose wire task no longer decodes,
+        journaling the verdict once.  It stays out of ``self.report``,
+        whose tasks must hold a decodable :class:`GPUConfig`."""
+        job = _DaemonJob(wire_task, QUARANTINED)
+        if entry["status"] == "quarantined":
+            job.error = entry["error"] or str(exc)
+        else:
+            job.error = str(exc)
+            self.journal.record_quarantine(
+                digest, (wire_task.get("abbr"), wire_task.get("technique")),
+                job.error)
+        self.jobs[digest] = job
+        self._log(f"journal replay: quarantined {digest[:12]}: {job.error}")
 
     async def serve(self) -> None:
         await self.start()

@@ -205,11 +205,6 @@ class WarpExecutor:
         result = alu(inst.opcode, args, inst.cmp)
         self.write(inst.dsts[0], result, mask)
 
-    def execute_alu_decoded(self, decoded, mask: np.ndarray) -> None:
-        """Decode-cache entry point (datapath-shared issue-path surface;
-        the vector executor compiles a micro-op here)."""
-        self.execute_alu(decoded.inst, mask)
-
     def execute_load(self, inst: Instruction, mask: np.ndarray,
                      addrs: np.ndarray) -> None:
         warp = self.warp

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from ..compiler.cfg import CFG
 from ..isa import Instruction, Kernel
 from .launch import CTAState, KernelLaunch
-from .warp import WarpContext, make_warp
+from .warp import WarpContext
 
 
 @dataclass
@@ -49,13 +49,11 @@ class FunctionalInterpreter:
     """Executes kernels functionally; see module docstring."""
 
     def __init__(self, launch: KernelLaunch, trace: bool = False,
-                 max_instructions: int = 50_000_000,
-                 datapath: str = "scalar"):
+                 max_instructions: int = 50_000_000):
         self.launch = launch
         self.cfg = CFG(launch.kernel)
         self.trace = trace
         self.max_instructions = max_instructions
-        self.datapath = datapath
         self.result = FunctionalResult()
 
     def run(self) -> FunctionalResult:
@@ -67,11 +65,7 @@ class FunctionalInterpreter:
 
     def _run_cta(self, block_idx: tuple[int, int, int]) -> None:
         cta = CTAState(block_idx, self.launch)
-        regfile = None
-        if self.datapath == "vector":
-            from .vector import VectorRegisterFile
-            regfile = VectorRegisterFile(self.launch.warps_per_block)
-        warps = [make_warp(self.launch, cta, w, w, self.datapath, regfile)
+        warps = [WarpContext(self.launch, cta, w, w)
                  for w in range(self.launch.warps_per_block)]
         # Run warps round-robin in barrier-delimited phases: each warp runs
         # until it hits a barrier or exits; when all have, release and
@@ -116,7 +110,7 @@ class FunctionalInterpreter:
                 else:
                     executor.execute_store(inst, mask, addrs)
             elif inst.written_regs():
-                executor.execute_alu_decoded(decoded, mask)
+                executor.execute_alu(inst, mask)
             warp.stack.pc = warp.pc + 1
 
     def _branch(self, warp: WarpContext, inst: Instruction, mask) -> None:
@@ -146,8 +140,7 @@ class FunctionalInterpreter:
                                         warp.pc, inst, active))
 
 
-def run_functional(launch: KernelLaunch, trace: bool = False,
-                   datapath: str = "scalar") -> FunctionalResult:
+def run_functional(launch: KernelLaunch,
+                   trace: bool = False) -> FunctionalResult:
     """Execute a launch functionally (no timing); mutates ``launch.memory``."""
-    return FunctionalInterpreter(launch, trace=trace,
-                                 datapath=datapath).run()
+    return FunctionalInterpreter(launch, trace=trace).run()

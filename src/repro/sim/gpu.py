@@ -123,24 +123,11 @@ class GPU:
         self.checkers = checkers if checkers is not None else NULL_CHECKERS
         self.faults.attach(self)
         self.now = 0
-        # Effective issue engine.  The observability layers — tracing,
-        # fault injection, runtime checkers — are defined per executed
-        # scheduler walk (stall attribution, per-cycle checker cadence,
-        # fault-site ordering), so they pin the reference walk engine.
-        self.issue_engine = config.issue_engine
-        if self.issue_engine == "batched" and (
-                self.tracer.enabled or self.faults.enabled
-                or self.checkers.enabled):
-            self.issue_engine = "walk"
         self.hierarchy = MemoryHierarchy(config, self.events, self.stats,
                                          tracer=self.tracer,
                                          faults=self.faults)
         self.coalescer = CoalesceCache()
         self.sms = [self._make_sm(i) for i in range(config.num_sms)]
-        self.engine = None
-        if self.issue_engine == "batched":
-            from .issue_engine import BatchedState
-            self.engine = BatchedState(self)
         self._pending_blocks: deque[tuple[int, int, int]] = deque()
         self._launch: KernelLaunch | None = None
         self._last_progress = 0
@@ -197,9 +184,6 @@ class GPU:
     # ---- main loop ---------------------------------------------------------
 
     def run(self, launch: KernelLaunch) -> RunResult:
-        if self.engine is not None:
-            from .issue_engine import run_batched
-            return run_batched(self, launch)
         if launch.warps_per_block > self.config.warps_per_sm:
             raise ValueError("CTA needs more warp slots than an SM has")
         self._launch = launch

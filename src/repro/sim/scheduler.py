@@ -46,11 +46,6 @@ class Scheduler:
     bandwidth and spreads memory latency (Narasiman et al.).
     """
 
-    # Readiness dirty-set sentinel.  The walk engine keeps it None so the
-    # hot wake sites (``WarpContext.release``) can distinguish the engines
-    # with one attribute load; the batched engine replaces it with a set.
-    _dirty = None
-
     def __init__(self, sm, index: int, policy: str, active_size: int,
                  issue_interval: int):
         self.sm = sm
@@ -76,12 +71,6 @@ class Scheduler:
     def wake(self) -> None:
         self._asleep = False
 
-    def wake_warp(self, warp) -> None:
-        """Targeted wake: ``warp``'s readiness inputs changed.  The walk
-        engine re-walks everything anyway; the batched engine overrides
-        this to also mark the warp's readiness columns dirty."""
-        self._asleep = False
-
     def add_warp(self, warp) -> None:
         self.warps.append(warp)
         warp.sched = self
@@ -90,7 +79,7 @@ class Scheduler:
     def remove_warp(self, warp) -> None:
         # Swap-pop instead of list.remove: retire of an N-warp scheduler is
         # O(1) shifting instead of O(N).  The resulting iteration-order
-        # permutation is absorbed by the rotation (tests/test_issue_engine
+        # permutation is absorbed by the rotation (tests/test_scheduler_gpu
         # pins Stats invariance against order changes).
         warps = self.warps
         i = warps.index(warp)

@@ -2,72 +2,13 @@
 
 Standard post-dominator reconvergence: a divergent branch pushes one entry
 per path with the reconvergence PC (the branch block's immediate
-post-dominator); an entry pops when its PC reaches its RPC.
-
-Two implementations share these semantics:
-
-* :class:`SIMTStack` — the scalar-datapath reference, masks as 32-element
-  bool arrays.  This is the differential oracle; its behaviour is pinned.
-* :class:`VectorSIMTStack` — the vector-datapath variant, masks as a
-  uint32 bitmask vector (one word per entry) with lane-level bool views
-  materialized lazily through :class:`LaneMask`.
+post-dominator); an entry pops when its PC reaches its RPC.  Masks are
+32-element bool arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-#: All 32 lanes of a warp set.
-FULL_MASK = 0xFFFFFFFF
-
-
-def pack_mask(bools) -> int:
-    """Bool lane vector -> uint32 bitmask (bit *i* = lane *i*)."""
-    arr = np.asarray(bools, dtype=bool)
-    if arr.shape != (32,):
-        arr = np.broadcast_to(arr, (32,))
-    return int(np.packbits(arr, bitorder="little").view(np.uint32)[0])
-
-
-def unpack_mask(bits: int, width: int = 32) -> np.ndarray:
-    """uint32 bitmask -> bool lane vector (inverse of :func:`pack_mask`)."""
-    raw = np.frombuffer(int(bits).to_bytes(4, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:width].view(np.bool_)
-
-
-class LaneMask:
-    """A 32-lane mask as a uint32 bitmask with a lazily-materialized bool
-    view.  Bit operations (any/all/count, guard AND, branch splits) run on
-    the integer; the bool array exists only once something needs lane-level
-    fancy indexing (memory, coalescer) and is then cached."""
-
-    __slots__ = ("bits", "_bools")
-
-    def __init__(self, bits: int, bools: np.ndarray | None = None):
-        self.bits = bits
-        self._bools = bools
-
-    def bools(self) -> np.ndarray:
-        view = self._bools
-        if view is None:
-            view = self._bools = unpack_mask(self.bits)
-        return view
-
-    def any(self) -> bool:
-        return self.bits != 0
-
-    def all(self) -> bool:
-        return self.bits == FULL_MASK
-
-    def count(self) -> int:
-        return self.bits.bit_count()
-
-    def __repr__(self) -> str:
-        return f"LaneMask({self.bits:#010x})"
-
-
-def _bits_of(mask) -> int:
-    return mask.bits if isinstance(mask, LaneMask) else int(mask)
 
 
 class SIMTStack:
@@ -121,90 +62,3 @@ class SIMTStack:
         self._pcs.append(pc)
         self._rpcs.append(rpc)
         self.max_depth = max(self.max_depth, len(self._pcs))
-
-
-class VectorSIMTStack:
-    """Bitmask-vector SIMT stack: entry masks live in a uint32 numpy vector
-    indexed by depth; the top-of-stack mask is mirrored as a
-    :class:`LaneMask` so the issue path's any/all/count questions are O(1)
-    integer operations.  Semantics are identical to :class:`SIMTStack`
-    (``mask.any()`` on a bool vector is exactly ``bits != 0``, push/pop
-    ordering is the same code path)."""
-
-    __slots__ = ("_bits", "_pcs", "_rpcs", "_depth", "max_depth", "_top")
-
-    def __init__(self, initial_mask, entry_pc: int = 0, capacity: int = 16):
-        bits = (pack_mask(initial_mask)
-                if isinstance(initial_mask, np.ndarray)
-                else _bits_of(initial_mask))
-        self._bits = np.zeros(capacity, dtype=np.uint32)
-        self._bits[0] = bits
-        self._pcs: list[int] = [entry_pc]
-        self._rpcs: list[int] = [-1]          # sentinel: never pops
-        self._depth = 1
-        self.max_depth = 1
-        self._top = LaneMask(bits)
-
-    @property
-    def pc(self) -> int:
-        return self._pcs[-1]
-
-    @pc.setter
-    def pc(self, value: int) -> None:
-        self._pcs[-1] = value
-        if self._depth > 1 and value == self._rpcs[-1]:
-            self._pop_reconverged()
-
-    @property
-    def active(self) -> LaneMask:
-        return self._top
-
-    #: Kept under the scalar stack's name so dumps/diagnostics can treat
-    #: both uniformly; returns a LaneMask, not a bool array.
-    @property
-    def active_mask(self) -> LaneMask:
-        return self._top
-
-    @property
-    def top_bits(self) -> int:
-        return self._top.bits
-
-    @property
-    def depth(self) -> int:
-        return self._depth
-
-    def _pop_reconverged(self) -> None:
-        popped = False
-        while self._depth > 1 and self._pcs[-1] == self._rpcs[-1]:
-            self._pcs.pop()
-            self._rpcs.pop()
-            self._depth -= 1
-            popped = True
-        if popped:
-            self._top = LaneMask(int(self._bits[self._depth - 1]))
-
-    def diverge(self, taken_mask, ntaken_mask, target_pc: int,
-                fallthrough_pc: int, rpc: int) -> None:
-        """Split the top entry at a divergent branch; mirrors
-        :meth:`SIMTStack.diverge` exactly, over bitmasks."""
-        taken = _bits_of(taken_mask)
-        ntaken = _bits_of(ntaken_mask)
-        self._pcs[-1] = rpc
-        if self._depth > 1 and rpc == self._rpcs[-1]:
-            self._pop_reconverged()
-        if ntaken and fallthrough_pc != rpc:
-            self._push(ntaken, fallthrough_pc, rpc)
-        if taken and target_pc != rpc:
-            self._push(taken, target_pc, rpc)
-
-    def _push(self, bits: int, pc: int, rpc: int) -> None:
-        if self._depth == len(self._bits):
-            self._bits = np.concatenate(
-                [self._bits, np.zeros_like(self._bits)])
-        self._bits[self._depth] = bits
-        self._depth += 1
-        self._pcs.append(pc)
-        self._rpcs.append(rpc)
-        if self._depth > self.max_depth:
-            self.max_depth = self._depth
-        self._top = LaneMask(bits)

@@ -15,19 +15,11 @@ import numpy as np
 from ..isa import Decoded, Instruction, MemSpace
 from .launch import CTAState, KernelLaunch
 from .scheduler import Scheduler
-from .vector import VectorRegisterFile
-from .warp import WarpContext, make_warp
+from .warp import WarpContext
 
 
 class SM:
     """One streaming multiprocessor."""
-
-    # The batched issue engine may replay ``issue()`` at computed future
-    # boundary times to execute a whole ALU dependence chain in one tick
-    # (sim/issue_engine.py).  That replay is only sound when the subclass
-    # does not override the issue path with time- or state-coupled
-    # behaviour; CAE (single-cycle affine issue intervals) opts out.
-    chain_ok = True
 
     def __init__(self, gpu, index: int):
         self.gpu = gpu
@@ -43,27 +35,16 @@ class SM:
         self.coalescer = gpu.coalescer
         self.ctas: list[CTAState] = []
         self.warps: list[WarpContext] = []
-        self.datapath = self.config.datapath
-        # Vector datapath: the SM owns the pooled (slots, 32) register file
-        # its warps take row views into.
-        self._regfile = (VectorRegisterFile(self.config.warps_per_sm)
-                         if self.datapath == "vector" else None)
         # Min-heap of free hardware warp slots (list(range(n)) is already
         # heap-ordered); assignment always takes the lowest slot.
         self._free_slots = list(range(self.config.warps_per_sm))
-        sched_cls = Scheduler
-        if gpu.issue_engine == "batched":
-            from .issue_engine import BatchedScheduler as sched_cls
         self.schedulers = [
-            sched_cls(self, i, self.config.scheduler,
+            Scheduler(self, i, self.config.scheduler,
                       self.config.active_warps_per_scheduler,
                       self.config.issue_interval)
             for i in range(self.config.num_schedulers)
         ]
         self.lsu_free = 0
-        # Batched-engine state (set by issue_engine.BatchedState); None on
-        # the walk engine so the lsu_free hook below costs one None check.
-        self._engine = None
 
     # ---- CTA management -------------------------------------------------
 
@@ -77,8 +58,7 @@ class SM:
         self.ctas.append(cta)
         for w in range(launch.warps_per_block):
             slot = heapq.heappop(self._free_slots)
-            warp = make_warp(launch, cta, w, slot, self.datapath,
-                             self._regfile)
+            warp = WarpContext(launch, cta, w, slot)
             self.warps.append(warp)
             self.schedulers[slot % len(self.schedulers)].add_warp(warp)
         self.on_cta_assigned(cta)
@@ -129,12 +109,6 @@ class SM:
     def busy(self) -> bool:
         return bool(self.warps)
 
-    def tick_units(self) -> list:
-        """The per-cycle tick units of this SM in intra-cycle rank order
-        (the order :meth:`cycle` invokes them).  The batched GPU loop
-        enumerates these once and wakes them by rank."""
-        return list(self.schedulers)
-
     def wake_all(self) -> None:
         """Clear every scheduler's blocked-walk cache.  Called at the SM-wide
         state changes that can unblock warps on *any* scheduler: a barrier
@@ -165,22 +139,6 @@ class SM:
                     now: int) -> bool:
         """Hook: DAC dequeue-readiness checks (paper Fig. 9 ⑨)."""
         return True
-
-    def classify_warp(self, warp) -> tuple[bool, bool, int]:
-        """Pure readiness mirror of :meth:`try_issue` for the batched
-        engine's columns: ``(ready_base, lsu_gated, stall_code)``.
-
-        ``ready_base`` — the warp would issue if any LSU gating is ignored;
-        ``lsu_gated`` — issue additionally requires ``now >= lsu_free``;
-        ``stall_code`` — index into ``issue_engine.STALL_KEYS`` of the
-        per-blocked-cycle stall counter the walk would emit for this warp
-        (0 = none).  Must not mutate any timing state."""
-        if warp.done or warp.at_barrier:
-            return False, False, 0
-        decoded = warp.code[warp.pc]
-        if not warp.scoreboard_ready(decoded):
-            return False, False, 0
-        return True, decoded.needs_lsu, 0
 
     # ---- stall diagnosis (tracing only; must not mutate) -----------------
 
@@ -285,7 +243,7 @@ class SM:
         """Hook: the AEU resumes expansion for this CTA (paper §4.2)."""
 
     def _do_branch(self, warp: WarpContext, inst: Instruction,
-                   mask) -> None:
+                   mask: np.ndarray) -> None:
         target = warp.launch.kernel.target_index(inst.target)
         if inst.guard is None:
             warp.stack.pc = target
@@ -301,9 +259,9 @@ class SM:
             warp.stack.diverge(taken, ntaken, target, warp.pc + 1, rpc)
 
     def _do_alu(self, warp: WarpContext, decoded: Decoded,
-                mask, now: int) -> None:
+                mask: np.ndarray, now: int) -> None:
         inst = decoded.inst
-        warp.executor.execute_alu_decoded(decoded, mask)
+        warp.executor.execute_alu(inst, mask)
         latency = (self.config.sfu_latency if decoded.is_sfu
                    else self.config.alu_latency)
         name = decoded.dst_name
@@ -313,11 +271,11 @@ class SM:
         self.on_alu_executed(warp, inst, mask)
 
     def on_alu_executed(self, warp: WarpContext, inst: Instruction,
-                        mask) -> None:
+                        mask: np.ndarray) -> None:
         """Hook: CAE affine-tag maintenance."""
 
     def _do_memory(self, warp: WarpContext, decoded: Decoded,
-                   mask, now: int) -> None:
+                   mask: np.ndarray, now: int) -> None:
         inst = decoded.inst
         ex = warp.executor
         addrs = ex.addresses(decoded.mem_ref)
@@ -326,14 +284,12 @@ class SM:
             return
         if decoded.is_load:
             ex.execute_load(inst, mask, addrs)
-            lines = self.coalescer.lines(addrs, warp.mask_bools(mask))
+            lines = self.coalescer.lines(addrs, mask)
             self.stats.add("gmem_loads")
             self.stats.add("gmem_load_lines", len(lines))
             if not lines:
                 return
             self.lsu_free = now + len(lines)
-            if self._engine is not None:
-                self._engine.note_lsu(self)
             warp.acquire(decoded.dst_name)
             warp.mem_pending += 1
             state = {"remaining": len(lines)}
@@ -353,12 +309,10 @@ class SM:
                 self.issue_line_read(warp, inst, line, now, on_line)
         else:
             ex.execute_store(inst, mask, addrs)
-            lines = self.coalescer.lines(addrs, warp.mask_bools(mask))
+            lines = self.coalescer.lines(addrs, mask)
             self.stats.add("gmem_stores")
             self.stats.add("gmem_store_lines", len(lines))
             self.lsu_free = now + max(1, len(lines))
-            if self._engine is not None:
-                self._engine.note_lsu(self)
             for line in lines:
                 self.l1.write(line, now)
 
@@ -369,7 +323,7 @@ class SM:
         self.l1.read(line, now, callback)
 
     def _do_shared(self, warp: WarpContext, decoded: Decoded,
-                   mask, addrs: np.ndarray, now: int) -> None:
+                   mask: np.ndarray, addrs: np.ndarray, now: int) -> None:
         self.stats.add("shared_accesses")
         inst = decoded.inst
         if decoded.is_load:

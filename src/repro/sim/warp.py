@@ -15,17 +15,9 @@ class WarpContext:
 
     The scoreboard is a per-register count of outstanding writes; an
     instruction may issue only when every register it reads or writes has a
-    zero count (in-order issue, stall-on-use).
-
-    This class is the **scalar datapath** (the differential oracle).  The
-    vector datapath subclasses it (:class:`repro.sim.vector
-    .VectorWarpContext`), overriding ``_init_datapath`` and the mask helper
-    API below; the technique layers (SM/DACSM/CAESM, functional
-    interpreter) only manipulate masks through that API, so they stay
-    datapath-agnostic.
+    zero count (in-order issue, stall-on-use).  The functional interpreter
+    (:mod:`repro.sim.functional`) runs the same class without timing.
     """
-
-    datapath = "scalar"
 
     __slots__ = (
         "launch", "cta", "warp_in_cta", "slot", "width", "tx", "ty", "tz",
@@ -33,7 +25,7 @@ class WarpContext:
         "done", "at_barrier", "executor", "cae_stride", "last_issue",
         "code",                    # per-kernel Decoded list (shared)
         "sched",                   # owning scheduler (wake target)
-        "_mask_any",               # (mask object, any, all, count) cache
+        "_mask_facts_memo",        # (mask object, all, count) cache
         "pwaq", "pwpq",            # DAC per-warp queues (attached by DACSM)
     )
 
@@ -59,12 +51,7 @@ class WarpContext:
         self.last_issue = 0
         self.code = decoded_of(launch.kernel)
         self.sched = None
-        self._mask_any = None
-        self._init_datapath()
-
-    def _init_datapath(self) -> None:
-        """Create the datapath-specific state: stack, register storage,
-        predicate storage, executor.  Overridden by the vector datapath."""
+        self._mask_facts_memo = None
         self.stack = SIMTStack(self.initial_mask)
         self.regs: dict[str, np.ndarray] = {}
         self.preds: dict[str, np.ndarray] = {}
@@ -96,15 +83,10 @@ class WarpContext:
     def release(self, name: str) -> None:
         self.pending[name] -= 1
         # A scoreboard release is a wake condition: the owning scheduler may
-        # have cached this warp as blocked.  The batched engine additionally
-        # needs the warp marked dirty (``_dirty`` is None on the walk
-        # engine, so the hot path stays two attribute ops there).
+        # have cached this warp as blocked.
         sched = self.sched
         if sched is not None:
-            if sched._dirty is None:
-                sched._asleep = False
-            else:
-                sched.release_warp(self)
+            sched._asleep = False
 
     def regs_ready(self, inst) -> bool:
         pending = self.pending
@@ -129,7 +111,7 @@ class WarpContext:
         return True
 
     def _mask_facts(self, mask) -> tuple:
-        """(mask, any, all, count) memoized on top-of-stack mask identity.
+        """(mask, all, count) memoized on top-of-stack mask identity.
 
         SIMT-stack masks are copied on push and never mutated in place, so
         the array object is a sound cache key.  The issue and dequeue paths
@@ -137,36 +119,25 @@ class WarpContext:
         numpy reductions dominate.
         """
         count = int(np.count_nonzero(mask))
-        facts = (mask, count > 0, count == mask.shape[0], count)
-        self._mask_any = facts
+        facts = (mask, count == mask.shape[0], count)
+        self._mask_facts_memo = facts
         return facts
 
-    def active_any(self) -> bool:
+    def active_all(self) -> bool:
         mask = self.stack.active_mask
-        cached = self._mask_any
+        cached = self._mask_facts_memo
         if cached is not None and cached[0] is mask:
             return cached[1]
         return self._mask_facts(mask)[1]
 
-    def active_all(self) -> bool:
+    def active_count(self) -> int:
         mask = self.stack.active_mask
-        cached = self._mask_any
+        cached = self._mask_facts_memo
         if cached is not None and cached[0] is mask:
             return cached[2]
         return self._mask_facts(mask)[2]
 
-    def active_count(self) -> int:
-        mask = self.stack.active_mask
-        cached = self._mask_any
-        if cached is not None and cached[0] is mask:
-            return cached[3]
-        return self._mask_facts(mask)[3]
-
-    # ---- datapath-agnostic mask API -------------------------------------
-    #
-    # Masks are opaque to the technique layers: bool arrays on the scalar
-    # datapath, LaneMask bitmasks on the vector one.  Everything a timing
-    # model asks about a mask goes through these helpers.
+    # ---- issue masks -----------------------------------------------------
 
     def issue_mask(self, decoded):
         """(mask, active-lane count) for issuing ``decoded`` now: the
@@ -177,35 +148,9 @@ class WarpContext:
                                         self.stack.active_mask)
         return mask, int(np.count_nonzero(mask))
 
-    def mask_count(self, mask) -> int:
-        return int(np.count_nonzero(mask))
-
-    def mask_any(self, mask) -> bool:
-        return bool(mask.any())
-
-    def mask_all(self, mask) -> bool:
-        return bool(mask.all())
-
-    def mask_bools(self, mask) -> np.ndarray:
-        """The mask as a bool lane vector (for fancy indexing)."""
-        return mask
-
-    def mask_is_initial(self, mask) -> bool:
-        return bool(np.array_equal(mask, self.initial_mask))
-
     def branch_split(self, mask):
         """(taken, ntaken, taken_any, ntaken_any) for a guarded branch:
         ``mask`` is the guard-applied taken set, ``ntaken`` the remaining
         active lanes."""
         ntaken = self.stack.active_mask & ~mask
         return mask, ntaken, bool(mask.any()), bool(ntaken.any())
-
-
-def make_warp(launch: KernelLaunch, cta: CTAState, warp_in_cta: int,
-              slot: int, datapath: str = "scalar", regfile=None):
-    """Construct a warp context for the requested datapath."""
-    if datapath == "vector":
-        from .vector import VectorWarpContext
-        return VectorWarpContext(launch, cta, warp_in_cta, slot,
-                                 regfile=regfile)
-    return WarpContext(launch, cta, warp_in_cta, slot)

@@ -153,6 +153,43 @@ class TestBenchReport:
         assert "cycles: got 1, golden 2" in report
 
 
+class TestCommittedPayloads:
+    """``BENCH_7.json``/``BENCH_8.json`` were written by the retired
+    vector datapath and batched engine and carry fields naming them; the
+    history and report renderers must keep reading them."""
+
+    FILES = ("BENCH_7.json", "BENCH_8.json")
+
+    def test_perf_history_renders_committed_files(self, tmp_path,
+                                                  monkeypatch, capsys):
+        import argparse
+        import os
+        import shutil
+
+        for name in self.FILES:
+            shutil.copy(os.path.join(bench._ROOT, name), tmp_path / name)
+        history = tmp_path / "BENCH_history.jsonl"
+        monkeypatch.setattr(bench, "_ROOT", str(tmp_path))
+        monkeypatch.setattr(bench, "HISTORY_PATH", str(history))
+        assert bench.main_perf(argparse.Namespace(history=True)) == 0
+        out = capsys.readouterr().out
+        assert "perf trajectory (2 runs)" in out
+        assert "STATS MISMATCH" not in out
+        backfilled = [json.loads(line)["bench_file"]
+                      for line in history.read_text().splitlines()]
+        assert sorted(backfilled) == list(self.FILES)
+
+    def test_bench_report_renders_committed_files(self):
+        import os
+
+        for name in self.FILES:
+            with open(os.path.join(bench._ROOT, name)) as handle:
+                payload = json.load(handle)
+            report = bench_report(payload)
+            assert "simulator throughput" in report
+            assert "MISMATCH" not in report
+
+
 class TestTimeCell:
     def test_every_rep_sample_is_recorded(self):
         samples, result = time_cell("CP", "baseline", "tiny", reps=3)

@@ -1,22 +1,11 @@
-"""Differential fuzzing: random mini-kernels, three-way oracle.
+"""Differential fuzzing: random mini-kernels against the functional oracle.
 
 The generator (:mod:`repro.workloads.fuzz`) only emits programs whose
 final memory image is deterministic — integer-exact arithmetic,
 thread-exclusive output slots, order-independent atomics — so the
 functional interpreter's memory is a bit-exact oracle for baseline, CAE,
-MTA, and DAC alike.
-
-Since the vector datapath landed, every timing technique is checked
-*three ways* per seed:
-
-1. scalar-datapath memory  == functional-oracle memory
-2. vector-datapath memory  == scalar-datapath memory (bit-for-bit)
-3. vector-datapath Stats   == scalar-datapath Stats  (every counter)
-
-The scalar datapath is the reference implementation; any divergence in
-the vector path — a mask popcount off by one, a blend touching an
-inactive lane — shows up as a Stats or memory diff here long before it
-would surface in the golden matrix.
+MTA, and DAC alike: every timing technique's final memory image must
+equal it, seed by seed.
 """
 
 import numpy as np
@@ -33,11 +22,6 @@ SEEDS = range(100)
 @pytest.fixture(scope="module")
 def config():
     return GPUConfig(num_sms=1)
-
-
-@pytest.fixture(scope="module")
-def vector_config():
-    return GPUConfig(num_sms=1, datapath="vector")
 
 
 @pytest.fixture(scope="module")
@@ -79,48 +63,15 @@ class TestGenerator:
         assert "st.global" in text
 
 
-def test_functional_vector_matches_scalar(oracle_memory):
-    """The functional interpreter's vector datapath reproduces the scalar
-    one's memory image exactly (same oracle, different lane storage)."""
-    for seed in SEEDS:
-        launch = build_fuzz_launch(seed)
-        run_functional(launch, datapath="vector")
-        assert np.array_equal(oracle_memory[seed], launch.memory.words), \
-            f"seed {seed}: vector functional memory differs from scalar"
-
-
-def _stats_diff(a: dict, b: dict) -> list[str]:
-    return [f"{k}: scalar={a.get(k)!r} vector={b.get(k)!r}"
-            for k in sorted(set(a) | set(b)) if a.get(k) != b.get(k)]
-
-
 @pytest.mark.parametrize("technique", TECHNIQUES)
-def test_differential(technique, config, vector_config, oracle_memory):
-    """Three-way check per seed: scalar timing vs functional memory, then
-    vector timing vs scalar timing on memory, cycles, and every Stats
-    counter."""
+def test_differential(technique, config, oracle_memory):
+    """Timing-model memory == functional-oracle memory, per seed."""
     for seed in SEEDS:
         launch = build_fuzz_launch(seed)
-        scalar = simulate_launch(launch, technique, config)
+        simulate_launch(launch, technique, config)
         if not np.array_equal(oracle_memory[seed], launch.memory.words):
             diff = np.nonzero(oracle_memory[seed]
                               != launch.memory.words)[0]
             raise AssertionError(
                 f"seed {seed}: {technique} memory differs from the "
                 f"functional oracle at words {diff[:8].tolist()}")
-
-        vlaunch = build_fuzz_launch(seed)
-        vector = simulate_launch(vlaunch, technique, vector_config)
-        if not np.array_equal(launch.memory.words, vlaunch.memory.words):
-            diff = np.nonzero(launch.memory.words
-                              != vlaunch.memory.words)[0]
-            raise AssertionError(
-                f"seed {seed}: {technique} vector-datapath memory differs "
-                f"from scalar at words {diff[:8].tolist()}")
-        assert scalar.cycles == vector.cycles, (
-            f"seed {seed}: {technique} cycles diverged "
-            f"(scalar {scalar.cycles}, vector {vector.cycles})")
-        diff = _stats_diff(scalar.stats.as_dict(), vector.stats.as_dict())
-        assert not diff, (
-            f"seed {seed}: {technique} Stats diverged between datapaths:\n"
-            + "\n".join(diff))

@@ -25,14 +25,13 @@ from repro.trace import STALL_REASONS, stall_buckets
 
 CONFIG = experiment_config()
 
-#: Both warp datapaths must reproduce the *same* committed goldens: the
-#: goldens are a property of the timing model, and the vector datapath is
-#: required to be bit-identical to the scalar oracle.
-DATAPATHS = ("scalar", "vector")
-
-#: Likewise both issue engines: the batched engine is a pure
-#: reformulation of the walk's timing semantics.
-ENGINES = ("walk", "batched")
+#: The one configuration every golden runs under, with the test-id of the
+#: datapath it exercises (bool-array lanes, per-warp issue walk).  The ids
+#: name that datapath so the checks keep the ids they had when other
+#: datapaths were parametrized beside it.
+MATRIX_CONFIG = pytest.mark.parametrize("config", [CONFIG],
+                                        ids=["scalar-walk"])
+RUN_CONFIG = pytest.mark.parametrize("config", [CONFIG], ids=["scalar"])
 
 
 def _assert_matches_golden(result, name):
@@ -43,29 +42,24 @@ def _assert_matches_golden(result, name):
     assert not diff, "Stats diverged from golden:\n" + "\n".join(diff)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("datapath", DATAPATHS)
+@MATRIX_CONFIG
 @pytest.mark.parametrize("abbr,technique,scale", GOLDEN_MATRIX,
                          ids=[golden_name(*cell) for cell in GOLDEN_MATRIX])
-def test_matrix_cell_matches_golden(abbr, technique, scale, datapath,
-                                    engine):
-    result = run_cell(abbr, technique, scale,
-                      CONFIG.with_datapath(datapath)
-                      .with_issue_engine(engine))
+def test_matrix_cell_matches_golden(abbr, technique, scale, config):
+    result = run_cell(abbr, technique, scale, config)
     _assert_matches_golden(result, golden_name(abbr, technique, scale))
 
 
-@pytest.mark.parametrize("datapath", DATAPATHS)
-def test_traced_run_matches_golden_and_keeps_stall_invariant(datapath):
+@RUN_CONFIG
+def test_traced_run_matches_golden_and_keeps_stall_invariant(config):
     """Tracing must not perturb timing, and the stall-attribution buckets
     must still sum to exactly one entry per scheduler slot per cycle."""
     abbr, technique, scale = TRACED_GOLDEN
-    result = run_cell(abbr, technique, scale,
-                      CONFIG.with_datapath(datapath), trace=True)
+    result = run_cell(abbr, technique, scale, config, trace=True)
     _assert_matches_golden(
         result, "traced_" + golden_name(abbr, technique, scale))
     buckets = stall_buckets(result.stats)
-    slots = result.cycles * CONFIG.num_sms * CONFIG.num_schedulers
+    slots = result.cycles * config.num_sms * config.num_schedulers
     assert sum(buckets.values()) == slots
     assert set(buckets) <= set(STALL_REASONS)
 
@@ -85,13 +79,12 @@ def test_traced_equals_untraced():
     assert not diff, "tracing changed timing:\n" + "\n".join(diff)
 
 
-@pytest.mark.parametrize("datapath", DATAPATHS)
-def test_fault_injected_run_matches_golden(datapath):
+@RUN_CONFIG
+def test_fault_injected_run_matches_golden(config):
     abbr, technique, scale = FAULT_GOLDEN
     plan = FaultPlan(specs=(FaultSpec("expand_delay", 0, 4),
                             FaultSpec("dram_delay", 0, 8)))
-    result = run_cell(abbr, technique, scale,
-                      CONFIG.with_datapath(datapath),
+    result = run_cell(abbr, technique, scale, config,
                       faults=FaultInjector(plan), checkers=RuntimeCheckers())
     _assert_matches_golden(
         result, "fault_" + golden_name(abbr, technique, scale))

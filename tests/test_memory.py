@@ -1,7 +1,7 @@
 """Tests for the memory subsystem: coalescer, caches, MSHRs, locking, DRAM."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import CacheConfig, DRAMConfig
 from repro.events import EventQueue
@@ -14,6 +14,7 @@ from repro.memory import (
     line_of,
     word_mask,
 )
+from repro.memory.coalescer import CoalesceCache
 from repro.stats import Stats
 
 
@@ -97,6 +98,56 @@ class TestCoalescer:
         for line in lines:
             assert any(line_of(int(a)) == line for a in addrs[active])
 
+
+
+# ---- coalescer vectorisation vs lane-loop references ---------------------
+
+lane_addresses = st.lists(
+    st.integers(min_value=0, max_value=1 << 20).map(lambda w: w * 4),
+    min_size=32, max_size=32).map(lambda xs: np.asarray(xs,
+                                                        dtype=np.float64))
+lane_bools = st.lists(st.booleans(), min_size=32, max_size=32).map(
+    lambda bs: np.asarray(bs, dtype=bool))
+
+ALL_OFF = np.zeros(32, dtype=bool)
+ALL_ON = np.ones(32, dtype=bool)
+ONE_LANE = np.eye(1, 32, 17, dtype=bool)[0]
+
+
+@given(lane_addresses, lane_bools)
+@example(np.zeros(32), ALL_OFF)
+@example(np.arange(32) * 4.0, ALL_ON)
+@example(np.arange(32) * 4.0, ONE_LANE)
+@example(np.full(32, 4096.0), ALL_ON)
+@settings(max_examples=200)
+def test_coalesce_cache_matches_lane_loop(addresses, active):
+    """``CoalesceCache`` (vectorized, memoized) == the uncached module
+    functions, for both the line list and every per-line word mask."""
+    cache = CoalesceCache()
+    expect_lines = coalesce(addresses, active)
+    got_lines = cache.lines(addresses, active)
+    assert got_lines == expect_lines
+    lines2, masks = cache.lines_and_masks(addresses, active)
+    assert lines2 == expect_lines
+    assert masks == [word_mask(line, addresses, active)
+                     for line in expect_lines]
+    # Second query must hit the memo table and still agree.
+    assert cache.lines_and_masks(addresses, active) == (lines2, masks)
+
+
+@given(lane_addresses, lane_bools)
+@example(np.arange(32)[::-1] * 4.0, ALL_ON)   # descending: negative rel
+def test_word_mask_reference_loop(addresses, active):
+    """The vectorized :func:`word_mask` == the naive per-lane OR loop."""
+    for line in coalesce(addresses, active):
+        expect = 0
+        for lane in range(32):
+            if not active[lane]:
+                continue
+            addr = int(addresses[lane])
+            if (addr >> 7) == (line >> 7):
+                expect |= 1 << ((addr - line) // 4)
+        assert word_mask(line, addresses, active) == expect
 
 class TestCache:
     def test_miss_then_hit(self):

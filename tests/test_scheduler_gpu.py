@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.harness.bench import run_cell
+from repro.harness.runner import TECHNIQUES, experiment_config, \
+    simulate_launch
 from repro.isa import parse_kernel
 from repro.sim import GPU, GPUConfig, GlobalMemory, KernelLaunch, simulate
+from repro.sim.scheduler import Scheduler
+from repro.workloads.fuzz import build_fuzz_launch
 
 
 def _counting_kernel():
@@ -107,3 +112,46 @@ class TestSchedulers:
         result = simulate(launch, GPUConfig(num_sms=1))
         assert result.cycles > 300                   # DRAM round trip
         assert result.stats["warp_instructions"] == 7
+
+
+# ---- warp iteration-order invariance ------------------------------------
+
+def _order_preserving_remove(self, warp):
+    """The pre-swap-pop removal: O(N) but keeps iteration order."""
+    self.warps.remove(warp)
+    warp.sched = None
+    self._asleep = False
+
+
+def _assert_same(swap, kept, label: str) -> None:
+    assert swap.cycles == kept.cycles, (
+        f"{label}: cycles diverged (swap-pop {swap.cycles}, "
+        f"order-preserving {kept.cycles})")
+    a, b = swap.stats.as_dict(), kept.stats.as_dict()
+    diff = [f"{k}: swap-pop={a.get(k)!r} order-preserving={b.get(k)!r}"
+            for k in sorted(set(a) | set(b)) if a.get(k) != b.get(k)]
+    assert not diff, f"{label}: Stats diverged:\n" + "\n".join(diff)
+
+
+def test_stats_invariant_under_removal_order(monkeypatch):
+    """Swap-pop removal permutes the scheduler's walk order relative to
+    the old ``list.remove``; the timing semantics must not depend on it
+    (the rotation owns fairness, not list positions)."""
+    cfg = GPUConfig(num_sms=1)
+    for technique in TECHNIQUES:
+        for seed in range(25):
+            swap = simulate_launch(build_fuzz_launch(seed), technique, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(Scheduler, "remove_warp",
+                              _order_preserving_remove)
+                kept = simulate_launch(build_fuzz_launch(seed), technique,
+                                       cfg)
+            _assert_same(swap, kept, f"seed {seed} {technique} order")
+
+
+def test_stats_invariant_under_removal_order_golden_cell(monkeypatch):
+    cfg = experiment_config()
+    swap = run_cell("SG", "dac", "tiny", cfg)
+    monkeypatch.setattr(Scheduler, "remove_warp", _order_preserving_remove)
+    kept = run_cell("SG", "dac", "tiny", cfg)
+    _assert_same(swap, kept, "SG/dac/tiny order")

@@ -241,6 +241,55 @@ class TestJournal:
         assert report.resumed == 1 and report.completed == 0
         assert results[TASK].cycles == result.cycles
 
+    def test_daemon_replay_quarantines_undecodable_submit(self, tmp_path):
+        """A submit record whose config carries a retired field (here the
+        former ``datapath`` knob) is quarantined with the decode error and
+        journaled; replay keeps going and requeues the decodable job."""
+        from repro.service.daemon import ExperimentDaemon
+
+        class _StubSupervisor:
+            def __init__(self):
+                self.submitted = []
+
+            def submit(self, digest, task, scale, strikes=0):
+                self.submitted.append((digest, task, scale))
+
+        good = job_digest(TASK, SCALE)
+        stale_wire = task_to_wire(TASK, SCALE)
+        stale_wire["config"] = dict(stale_wire["config"], datapath="scalar")
+        stale = "0" * 64
+        with JobJournal(tmp_path) as journal:
+            journal.record_submit(stale, stale_wire)
+            journal.record_submit(good, task_to_wire(TASK, SCALE))
+
+        def replay():
+            daemon = ExperimentDaemon(tmp_path / "sock", state_dir=tmp_path,
+                                      use_cache=False, log=lambda msg: None)
+            daemon.journal = JobJournal(tmp_path)
+            daemon.supervisor = _StubSupervisor()
+            try:
+                daemon._replay()
+            finally:
+                daemon.journal.close()
+            return daemon
+
+        daemon = replay()
+        job = daemon.jobs[stale]
+        assert job.state == "quarantined"
+        assert "malformed job description" in job.error
+        assert "datapath" in job.error
+        assert [d for d, _t, _s in daemon.supervisor.submitted] == [good]
+        with JobJournal(tmp_path) as journal:
+            entry = journal.replay()[stale]
+        assert entry["status"] == "quarantined"
+        assert entry["error"] == job.error
+
+        # A second replay keeps the verdict without journaling it again.
+        daemon = replay()
+        assert daemon.jobs[stale].error == job.error
+        lines = (tmp_path / "journal.jsonl").read_text().splitlines()
+        assert sum('"quarantine"' in line for line in lines) == 1
+
 
 # ---------------------------------------------------------------------------
 # Supervised worker pool (real processes)
