@@ -143,9 +143,19 @@ class AffineTuple:
                            mod_base=float(np.mod(self.base, m)), divisor=m)
 
     def shl(self, amount: "AffineTuple") -> "AffineTuple":
+        """Left shift as a scale: exact only when every field is an
+        integer (the datapath truncates each lane to int64 first) and the
+        count is in [0, 64) — otherwise the affine warp falls back to
+        non-affine execution."""
         if not amount.is_scalar:
             raise AffineError("shift amount must be scalar")
-        return self.scale(float(2 ** int(amount.base)))
+        count = int(amount.base)
+        if not 0 <= count < 64:
+            raise AffineError("shift count out of range")
+        fields = (self.base, *self.offsets, self.mod_base, self.divisor)
+        if not all(float(f).is_integer() for f in fields):
+            raise AffineError("left shift of a non-integer is not affine")
+        return self.scale(float(2 ** count))
 
     def shr(self, amount: "AffineTuple") -> "AffineTuple":
         """Right shift: exact only when base and offsets are divisible by

@@ -63,6 +63,7 @@ from ..isa import (
     Register,
     SpecialReg,
 )
+from ..isa.operands import SPECIAL_FAMILIES
 from ..sim.executor import CMP_FUNCS, _shift, _to_int
 from ..sim.executor import alu as _concrete_alu
 
@@ -563,6 +564,30 @@ def _guard_of(state: _State, inst: Instruction) -> Pred | None:
     return None
 
 
+#: Symbols integer-valued on every thread: special registers and loop
+#: iteration counters (``iter:<loop>``).  Parameters and loop-carried
+#: registers may hold any value.
+_INT_SYMBOLS = tuple(f"{family}." for family in SPECIAL_FAMILIES) + ("iter:",)
+
+#: Atom kinds the datapath computes through an int64 conversion.
+_INT_ATOMS = {"shl", "shr", "and", "or", "xor", "not"}
+
+
+def _is_integral(expr: SymExpr) -> bool:
+    """Whether ``expr`` is provably integer-valued: integer coefficients
+    over integer symbols and integer-producing atoms."""
+    for mono, coeff in expr.terms:
+        if not float(coeff).is_integer():
+            return False
+        for factor in mono:
+            if isinstance(factor, Atom):
+                if factor.kind not in _INT_ATOMS:
+                    return False
+            elif not factor.startswith(_INT_SYMBOLS):
+                return False
+    return True
+
+
 _POLY_OPS = {Opcode.MOV, Opcode.ADD, Opcode.SUB, Opcode.NEG, Opcode.MUL,
              Opcode.MAD}
 
@@ -590,12 +615,13 @@ def _alu_value(opcode: Opcode, args: list[SymExpr]) -> SymExpr:
         if opcode is Opcode.MUL:
             return args[0] * args[1]
         return args[0] * args[1] + args[2]          # MAD
-    if opcode is Opcode.SHL and args[1].is_const:
+    if opcode is Opcode.SHL and args[1].is_const \
+            and _is_integral(args[0]):
         k = args[1].const_value
         if k == int(k) and 0 <= k < 64:
-            # The affine runtime itself models shl as a scale
-            # (AffineTuple.shl); integer-exact values make this equal to
-            # the datapath's 64-bit shift.
+            # The datapath truncates the operand to int64 before shifting,
+            # so shl is a scale only for integer-valued operands:
+            # shl(div(x, 2), 1) is 2*floor(x/2), not x.
             return args[0] * const(float(2 ** int(k)))
     if opcode in _COMMUTATIVE:
         if args[0] == args[1]:

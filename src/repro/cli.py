@@ -92,7 +92,8 @@ def _add_harness_args(parser) -> None:
                              "retried, then quarantined")
     parser.add_argument("--retries", type=int, default=1, metavar="N",
                         help="re-submissions per cell after a timeout or "
-                             "transient worker failure (default 1)")
+                             "worker crash before it is quarantined "
+                             "(default 1)")
     parser.add_argument("--checkpoint", default=None, metavar="DIR",
                         help="persist finished grid cells under DIR and "
                              "resume from them on the next run")

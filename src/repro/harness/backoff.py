@@ -1,10 +1,9 @@
 """Capped exponential retry backoff with deterministic jitter.
 
-One schedule shared by every retry loop in the harness — the parallel
-grid executor's wave restarts and the service client's ``busy`` retries —
-so N clients hammering one daemon decorrelate instead of thundering in
-lock-step, yet any given (seed, attempt) pair always sleeps the same
-amount (reproducible tests, reproducible logs).
+The schedule of the service client's ``busy`` retries, so N clients
+hammering one daemon decorrelate instead of thundering in lock-step, yet
+any given (seed, attempt) pair always sleeps the same amount
+(reproducible tests, reproducible logs).
 
 The delay for attempt *k* (0-based) is::
 

@@ -6,8 +6,11 @@ answers a ping, pending cells are submitted over it and the results are
 read back out of the daemon's atomic blob store (client and daemon share
 a filesystem — that is what a unix socket means — so multi-megabyte
 device-memory images never ride the wire).  If no daemon is up, or one
-dies mid-grid, the caller falls back to the local pool; the daemon is an
-accelerator, never a dependency.
+dies mid-grid, the caller falls back to the local pool — the same
+supervised pool (:class:`repro.service.supervisor.Supervisor`) the daemon
+runs, driven in-process; the daemon is an accelerator, never a
+dependency.  Either way a deterministic in-task failure raises
+:class:`RemoteTaskError`.
 
 Backpressure is cooperative: a ``busy`` reply from the daemon's bounded
 queue is retried on the shared capped-exponential schedule with
@@ -21,6 +24,7 @@ from __future__ import annotations
 import os
 import pickle
 import socket
+import sys
 import time
 import zlib
 from pathlib import Path
@@ -50,18 +54,26 @@ class ServiceBusy(RuntimeError):
 
 
 class RemoteTaskError(RuntimeError):
-    """A deterministic in-task exception, reported by the daemon.
+    """A deterministic in-task exception, reported by a supervised worker
+    (local pool or daemon).
 
-    Mirrors the local pool's contract: deterministic failures propagate
-    instead of being retried.  When the remote failure was a
-    :class:`SimulationHang`, the structured report rides along as
-    ``hang`` (rebuilt via its JSON round-trip)."""
+    Deterministic failures propagate instead of being retried.  When the
+    failure was a :class:`SimulationHang`, the structured report rides
+    along as ``hang`` (rebuilt via its JSON round-trip)."""
 
     def __init__(self, kind: str, message: str,
                  hang: SimulationHang | None = None):
         super().__init__(f"{kind}: {message}")
         self.kind = kind
         self.hang = hang
+
+    @classmethod
+    def from_report(cls, kind: str | None, message: str | None,
+                    hang: dict | None) -> "RemoteTaskError":
+        """Rebuild from a worker's ``(kind, message, hang dict)`` report."""
+        return cls(kind or "Error", message or "",
+                   hang=SimulationHang.from_dict(hang)
+                   if hang is not None else None)
 
 
 class ServiceClient:
@@ -160,7 +172,7 @@ class ServiceClient:
         Returns ``(results, quarantined, failures)`` where ``results``
         maps tasks to :class:`RunResult`; quarantined cells come back as
         partial results, deterministic failures raise
-        :class:`RemoteTaskError` (matching the local pool's semantics).
+        :class:`RemoteTaskError`.
         """
         from ..service.protocol import job_digest
         tasks = list(tasks)
@@ -204,12 +216,9 @@ class ServiceClient:
                     quarantined.append(task)
                     failures[task] = reply.get("error") or "quarantined"
                 elif state == "failed":
-                    hang = None
-                    if reply.get("hang") is not None:
-                        hang = SimulationHang.from_dict(reply["hang"])
-                    raise RemoteTaskError(reply.get("kind") or "Error",
-                                          reply.get("message") or "",
-                                          hang=hang)
+                    raise RemoteTaskError.from_report(
+                        reply.get("kind"), reply.get("message"),
+                        reply.get("hang"))
                 # queued/running: keep waiting
         return results, quarantined, failures
 
@@ -235,53 +244,25 @@ def try_connect(socket_path=None,
     return client
 
 
-def run_tasks_via_service(pending, scale, service, *, results, report,
-                          checkpoint, progress, total,
-                          use_cache: bool) -> list:
+def run_tasks_via_service(pending, service, grid) -> list:
     """``run_grid``'s routing hook: try the daemon for ``pending``;
     whatever it could not take (no daemon, daemon died mid-grid) is
-    returned for the local pool.  Completed cells land in ``results``,
-    the memo cache, the checkpoint, and ``report`` exactly as local
-    completions would."""
-    from . import runner
+    returned for the local pool.  Settled cells are recorded on ``grid``
+    exactly as local ones are."""
     path = None if service in (None, True) else service
     client = try_connect(path)
     if client is None:
         return pending
     try:
-        def _progress(task, result):
-            if progress is not None:
-                progress(len(results), total, task[0], task[1], result)
-
         with client:
-            served, quarantined, failures = client.run_tasks(
-                pending, scale, progress=None)
-            for task, result in served.items():
-                abbr, technique, config = task
-                if use_cache:
-                    runner._remember(abbr, technique, scale, config,
-                                     result)
-                results[task] = result
-                report.completed += 1
-                if checkpoint is not None:
-                    from .parallel import GridCheckpoint
-                    checkpoint.record_done(
-                        GridCheckpoint.digest(task, scale), task, result)
-                _progress(task, result)
-            for task in quarantined:
-                report.quarantined.append(task)
-                report.failures[task] = failures[task]
-        return []
-    except ServiceUnavailable as exc:
-        import sys
-        print(f"repro: service at {client.socket_path} went away "
-              f"({exc}); falling back to the local pool",
-              file=sys.stderr)
-        done = set(results)
-        return [task for task in pending if task not in done]
-    except ServiceBusy as exc:
-        import sys
-        print(f"repro: {exc}; falling back to the local pool",
-              file=sys.stderr)
-        done = set(results)
-        return [task for task in pending if task not in done]
+            served, quarantined, failures = client.run_tasks(pending,
+                                                             grid.scale)
+    except (ServiceUnavailable, ServiceBusy) as exc:
+        print(f"repro: service at {client.socket_path}: {exc}; "
+              f"falling back to the local pool", file=sys.stderr)
+        return pending
+    for task, result in served.items():
+        grid.finish(task, result)
+    for task in quarantined:
+        grid.quarantine(task, failures[task])
+    return []

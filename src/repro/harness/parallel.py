@@ -1,28 +1,27 @@
-"""Multiprocess fan-out of the (benchmark × technique) simulation grid.
+"""Fan-out of the (benchmark × technique) simulation grid.
 
-Runs are independent, deterministic, and CPU-bound, so they parallelize
-trivially over a :class:`~concurrent.futures.ProcessPoolExecutor`: a
-worker re-runs the ordinary serial pipeline for its (benchmark, technique,
-config) cell and ships the finished :class:`RunResult` back.  Workers
-consult and feed the same on-disk cache as the parent (entries are written
-atomically, so concurrent writers are safe), and the parent installs every
-returned result into its in-process memo cache — after a parallel prewarm,
-the serial figure drivers run entirely on cache hits.
+Runs are independent, deterministic, and CPU-bound.  With ``jobs > 1``
+:func:`run_grid` drives one in-process
+:class:`~repro.service.supervisor.Supervisor` — the same supervised worker
+pool the ``repro serve`` daemon uses — so a local grid and a served grid
+share one set of failure semantics:
 
-Failure handling distinguishes three classes:
+* **Deterministic in-task exceptions** (the simulation itself raised)
+  raise :class:`~repro.harness.client.RemoteTaskError` at once, with a
+  :class:`~repro.sim.gpu.SimulationHang` report rebuilt as ``hang`` —
+  retrying a deterministic failure can only reproduce it more slowly.
+* **Crashes and hangs**: a worker that dies, loses its heartbeat, or holds
+  one cell past the per-cell ``timeout`` is killed and respawned, and the
+  cell takes a strike.  After ``retries + 1`` strikes the cell is
+  **quarantined** — the rest of the grid still completes, and the
+  quarantine list is reported instead of the whole sweep dying.
+* **A pool that cannot start** (``OSError`` while spawning workers) runs
+  the grid serially in the parent.
 
-* **Deterministic in-task exceptions** (the simulation itself raised) are
-  re-raised in the parent immediately — retrying a deterministic failure
-  serially can only reproduce it more slowly.
-* **Transient worker/pool failures** (a crashed worker, an unpicklable
-  result, a pool that would not start) are retried up to ``retries`` times
-  with exponential backoff, then run serially in the parent, so ``--jobs
-  N`` can never produce less than the serial path would.
-* **Hangs**: with a per-cell wall-clock ``timeout``, a cell that exceeds
-  it is abandoned (the pool is torn down without waiting for the hung
-  worker), retried, and finally **quarantined** — the rest of the grid
-  still completes, and the quarantine list is reported instead of the
-  whole sweep dying.
+Workers consult and feed the same on-disk cache as the parent (entries are
+written atomically, so concurrent writers are safe), and the parent
+installs every returned result into its in-process memo cache — after a
+parallel prewarm, the serial figure drivers run entirely on cache hits.
 
 A :class:`GridCheckpoint` directory makes long sweeps resumable: every
 finished cell is persisted as it lands, so a re-run with the same
@@ -36,26 +35,20 @@ import hashlib
 import json
 import os
 import pickle
+import queue
 import sys
 import tempfile
-import time
 import warnings
 import zlib
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..config import GPUConfig
 from ..sim.gpu import RunResult
-from .backoff import backoff_delay
 
 #: Task: (benchmark abbr, technique, GPUConfig).
 Task = tuple
-
-#: Exceptions that indicate worker/pool infrastructure trouble rather than
-#: a deterministic failure of the task itself.
-_TRANSIENT = (BrokenProcessPool, pickle.PicklingError)
 
 
 def default_jobs() -> int:
@@ -78,8 +71,8 @@ class GridReport:
     total: int = 0
     completed: int = 0                         # fresh results this call
     resumed: int = 0                           # restored from checkpoint
-    retries: int = 0                           # task re-submissions
-    timeouts: int = 0                          # wall-clock expirations
+    retries: int = 0                           # struck cells re-queued
+    timeouts: int = 0                          # strikes for job_timeout
     quarantined: list = field(default_factory=list)      # abandoned tasks
     failures: dict = field(default_factory=dict)         # task -> reason
 
@@ -94,6 +87,25 @@ class GridReport:
         if self.quarantined:
             parts.append(f"{len(self.quarantined)} quarantined")
         return ", ".join(parts)
+
+    def record(self, event: str, detail: str = "",
+               task: Task | None = None) -> None:
+        """Fold one :class:`~repro.service.supervisor.Supervisor` event
+        into the counts — the one mapping the daemon and :func:`run_grid`
+        share.  ``event`` is ``"done"``, ``"strike"`` (``detail`` = the
+        reason), ``"retry"``, or ``"quarantined"`` (``detail`` = the
+        error, ``task`` = the cell)."""
+        from ..service.supervisor import TIMED_OUT
+        if event == "done":
+            self.completed += 1
+        elif event == "strike":
+            if detail.startswith(TIMED_OUT):
+                self.timeouts += 1
+        elif event == "retry":
+            self.retries += 1
+        elif event == "quarantined":
+            self.quarantined.append(task)
+            self.failures[task] = detail
 
     @staticmethod
     def _task_to_wire(task) -> dict:
@@ -229,55 +241,107 @@ class GridCheckpoint:
             raise
 
 
-def _worker(abbr: str, technique: str, scale: str, config: GPUConfig,
-            cache_dir) -> bytes:
-    """Top-level (hence picklable) worker body: one grid cell, run through
-    the ordinary serial pipeline inside the worker process.
+@dataclass
+class _Grid:
+    """One :func:`run_grid` call's bookkeeping.  Every path that settles a
+    cell — serial, the supervised pool, the daemon — records it here, so
+    the results, memo cache, checkpoint, report and progress agree."""
 
-    The result ships back as a zlib-compressed pickle: the dominant
-    payload is the final device-memory image (mostly zeros, tens of MB
-    raw, ~100 KB compressed), and compressing beats pushing it through
-    the result pipe raw by an order of magnitude."""
-    from ..faults import chaos
+    scale: str
+    use_cache: bool
+    report: GridReport
+    checkpoint: GridCheckpoint | None
+    progress: Callable[..., None] | None
+    results: dict = field(default_factory=dict)
+
+    def finish(self, task: Task, result: RunResult) -> None:
+        from . import runner
+        abbr, technique, config = task
+        if self.use_cache:
+            runner._remember(abbr, technique, self.scale, config, result)
+        self.results[task] = result
+        self.report.record("done")
+        if self.checkpoint is not None:
+            self.checkpoint.record_done(
+                GridCheckpoint.digest(task, self.scale), task, result)
+        if self.progress is not None:
+            self.progress(len(self.results), self.report.total, abbr,
+                          technique, result)
+
+    def quarantine(self, task: Task, error: str) -> None:
+        print(f"repro: quarantining {task[0]}/{task[1]}: {error}",
+              file=sys.stderr)
+        self.report.record("quarantined", error, task)
+        if self.checkpoint is not None:
+            self.checkpoint.record_quarantined(
+                GridCheckpoint.digest(task, self.scale), task, error)
+
+    def run_serial(self, tasks) -> None:
+        from . import runner
+        for task in tasks:
+            abbr, technique, config = task
+            self.finish(task, runner.run_one(abbr, technique, self.scale,
+                                             config,
+                                             use_cache=self.use_cache))
+
+
+def _run_supervised(grid: _Grid, pending: list, jobs: int,
+                    timeout: float | None, retries: int) -> None:
+    """Run ``pending`` on an in-process supervised pool.  The supervisor
+    thread only queues events; this (the caller's) thread settles them."""
+    from ..service import supervisor
     from . import runner
-    chaos.install_from_env()
-    use_cache = cache_dir is not None
-    if use_cache:
-        runner.configure_cache(cache_dir)
-    else:
-        runner.configure_cache(enabled=False)
-    result = runner.run_one(abbr, technique, scale, config,
-                            use_cache=use_cache)
-    return zlib.compress(
-        pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL), 1)
+    from .client import RemoteTaskError
 
+    disk = runner.disk_cache() if grid.use_cache else None
+    tasks = {GridCheckpoint.digest(task, grid.scale): task
+             for task in pending}
+    events: queue.SimpleQueue = queue.SimpleQueue()
 
-def _run_serial(tasks, scale: str, use_cache: bool, results: dict,
-                progress, total: int, checkpoint=None, report=None) -> None:
-    from . import runner
-    for abbr, technique, config in tasks:
-        result = runner.run_one(abbr, technique, scale, config,
-                                use_cache=use_cache)
-        task = (abbr, technique, config)
-        results[task] = result
-        if report is not None:
-            report.completed += 1
-        if checkpoint is not None:
-            checkpoint.record_done(GridCheckpoint.digest(task, scale),
-                                   task, result)
-        if progress is not None:
-            progress(len(results), total, abbr, technique, result)
+    def post(event: str):
+        return lambda digest, *args: events.put((event, digest, args))
+
+    try:
+        pool = supervisor.Supervisor(
+            workers=min(jobs, len(tasks)),
+            cache_dir=disk.root if disk is not None else None,
+            job_timeout=timeout, max_strikes=retries + 1,
+            on_done=post("done"), on_failed=post("failed"),
+            on_strike=post("strike"), on_retry=post("retry"),
+            on_quarantined=post("quarantined"))
+    except OSError as exc:
+        print(f"repro: cannot start worker processes ({exc!r}); "
+              f"running serially", file=sys.stderr)
+        grid.run_serial(pending)
+        return
+    try:
+        for digest, task in tasks.items():
+            pool.submit(digest, task, grid.scale)
+        unsettled = len(tasks)
+        while unsettled:
+            event, digest, args = events.get()
+            if event == "done":                 # (task, scale, result)
+                grid.finish(tasks[digest], args[-1])
+            elif event == "quarantined":        # (task, scale, error)
+                grid.quarantine(tasks[digest], args[-1])
+            elif event == "failed":             # (kind, message, hang)
+                raise RemoteTaskError.from_report(*args)
+            else:                               # strike (reason,), retry ()
+                grid.report.record(event, *args)
+                continue
+            unsettled -= 1
+    finally:
+        pool.close(drain=False)
 
 
 def run_grid(tasks, scale: str = "paper", jobs: int | None = None,
              use_cache: bool = True, progress=None,
              timeout: float | None = None, retries: int = 1,
-             backoff: float = 0.5, checkpoint=None,
-             report: GridReport | None = None,
+             checkpoint=None, report: GridReport | None = None,
              retry_quarantined: bool = False,
              service: str | os.PathLike | bool | None = None) -> dict:
     """Fan ``tasks`` — (abbr, technique) pairs or (abbr, technique,
-    config) triples — out over ``jobs`` worker processes.
+    config) triples — out over ``jobs`` supervised worker processes.
 
     Returns ``{(abbr, technique, config): RunResult}``.  Results are also
     installed into the in-process memo cache (and, when enabled, written
@@ -286,11 +350,11 @@ def run_grid(tasks, scale: str = "paper", jobs: int | None = None,
     run.
 
     ``timeout`` bounds each cell's wall-clock seconds (parallel path
-    only); an expired cell is retried up to ``retries`` times with
-    ``backoff``-seconds exponential backoff, then quarantined — the rest
-    of the grid still completes, minus the quarantined cells.  Transient
-    worker/pool failures retry the same way, then fall back to serial.
-    Deterministic in-task exceptions are re-raised immediately.
+    only; ``None`` is unbounded).  A cell whose worker crashes or times
+    out is retried; its ``retries + 1``-th strike quarantines it — the
+    rest of the grid still completes, minus the quarantined cells.
+    Deterministic in-task exceptions raise
+    :class:`~repro.harness.client.RemoteTaskError` immediately.
 
     ``checkpoint`` (a directory path or :class:`GridCheckpoint`) makes the
     sweep resumable: finished cells are persisted as they land and skipped
@@ -323,8 +387,9 @@ def run_grid(tasks, scale: str = "paper", jobs: int | None = None,
     if checkpoint is not None and not isinstance(checkpoint,
                                                  GridCheckpoint):
         checkpoint = GridCheckpoint(checkpoint)
+    grid = _Grid(scale, use_cache, report, checkpoint, progress)
+    results = grid.results
 
-    results: dict = {}
     pending: list[Task] = []
     for task in norm:
         abbr, technique, config = task
@@ -345,173 +410,21 @@ def run_grid(tasks, scale: str = "paper", jobs: int | None = None,
                                  result)
                     continue
             elif status == "quarantined":
-                report.quarantined.append(task)
-                report.failures[task] = "quarantined in a previous run"
+                report.record("quarantined", "quarantined in a previous run",
+                              task)
                 continue
         if use_cache and runner.is_cached(abbr, technique, scale, config):
             results[task] = runner.run_one(abbr, technique, scale, config)
         else:
             pending.append(task)
-    total = len(norm)
 
     if pending and service is not False:
         from .client import run_tasks_via_service
-        pending = run_tasks_via_service(
-            pending, scale, service, results=results, report=report,
-            checkpoint=checkpoint, progress=progress, total=total,
-            use_cache=use_cache)
+        pending = run_tasks_via_service(pending, service, grid)
 
     jobs = jobs if jobs is not None else default_jobs()
     if jobs <= 1 or len(pending) <= 1:
-        _run_serial(pending, scale, use_cache, results, progress, total,
-                    checkpoint=checkpoint, report=report)
-        return results
-
-    disk = runner.disk_cache() if use_cache else None
-    cache_dir = disk.root if disk is not None else None
-
-    def finish(task: Task, result: RunResult) -> None:
-        abbr, technique, config = task
-        if use_cache:
-            runner._remember(abbr, technique, scale, config, result)
-        results[task] = result
-        report.completed += 1
-        if checkpoint is not None:
-            checkpoint.record_done(GridCheckpoint.digest(task, scale),
-                                   task, result)
-        if progress is not None:
-            progress(len(results), total, abbr, technique, result)
-
-    attempts: dict[Task, int] = {}
-    queue = list(pending)
-    serial_fallback: list[Task] = []
-    wave = 0
-    while queue:
-        if wave > 0:
-            time.sleep(backoff_delay(wave - 1, base=backoff,
-                                     seed="run_grid"))
-        transient: list[Task] = []
-        timed_out: list[Task] = []
-        carryover: list[Task] = []
-        hung = False
-        fatal = None
-        try:
-            pool = ProcessPoolExecutor(max_workers=min(jobs, len(queue)))
-        except (BrokenProcessPool, pickle.PicklingError, OSError) as exc:
-            print(f"repro: parallel execution failed ({exc!r}); "
-                  f"falling back to serial", file=sys.stderr)
-            serial_fallback.extend(queue)
-            break
-        feed = iter(queue)
-        futures: dict = {}
-        deadlines: dict = {}
-
-        def submit_next() -> bool:
-            task = next(feed, None)
-            if task is None:
-                return False
-            future = pool.submit(_worker, task[0], task[1], scale,
-                                 task[2], cache_dir)
-            futures[future] = task
-            if timeout is not None:
-                deadlines[future] = time.monotonic() + timeout
-            return True
-
-        try:
-            for _ in range(min(jobs, len(queue))):
-                submit_next()
-            while futures:
-                wait_for = None
-                if timeout is not None:
-                    wait_for = max(0.0, min(deadlines.values())
-                                   - time.monotonic())
-                done, _ = wait(set(futures), timeout=wait_for,
-                               return_when=FIRST_COMPLETED)
-                for future in done:
-                    task = futures.pop(future)
-                    deadlines.pop(future, None)
-                    exc = future.exception()
-                    if isinstance(exc, _TRANSIENT):
-                        transient.append(task)
-                    elif exc is not None:
-                        # Deterministic in-task failure: retrying (or a
-                        # serial re-run) can only reproduce it more slowly.
-                        fatal = exc
-                        break
-                    else:
-                        finish(task, pickle.loads(
-                            zlib.decompress(future.result())))
-                    submit_next()
-                if fatal is not None:
-                    break
-                if timeout is not None:
-                    now = time.monotonic()
-                    expired = [f for f in futures if now >= deadlines[f]]
-                    if expired:
-                        # A hung worker cannot be interrupted; abandon the
-                        # whole pool and restart the innocents next wave.
-                        hung = True
-                        for future in expired:
-                            task = futures.pop(future)
-                            deadlines.pop(future, None)
-                            future.cancel()
-                            timed_out.append(task)
-                            report.timeouts += 1
-                        carryover.extend(futures.values())
-                        break
-        except _TRANSIENT + (OSError,) as exc:
-            print(f"repro: parallel execution failed ({exc!r}); "
-                  f"falling back to serial", file=sys.stderr)
-            serial_fallback.extend(t for t in queue
-                                   if t not in results
-                                   and t not in transient
-                                   and t not in timed_out)
-            transient = []
-            carryover = []
-        finally:
-            shutdown = getattr(pool, "shutdown", None)
-            if shutdown is not None:
-                if hung or fatal is not None:
-                    # Never join a pool holding a hung worker — and kill
-                    # the workers outright, or the interpreter's exit
-                    # handler would join (i.e. hang on) them later.
-                    shutdown(wait=False, cancel_futures=True)
-                    for proc in list((getattr(pool, "_processes", None)
-                                      or {}).values()):
-                        proc.terminate()
-                else:
-                    shutdown(wait=True, cancel_futures=True)
-        if fatal is not None:
-            raise fatal
-
-        queue = list(carryover)
-        for task in transient:
-            attempts[task] = attempts.get(task, 0) + 1
-            if attempts[task] > retries:
-                serial_fallback.append(task)
-            else:
-                report.retries += 1
-                queue.append(task)
-        for task in timed_out:
-            attempts[task] = attempts.get(task, 0) + 1
-            if attempts[task] > retries:
-                report.quarantined.append(task)
-                report.failures[task] = \
-                    f"timed out after {timeout}s x {attempts[task]} attempts"
-                print(f"repro: quarantining {task[0]}/{task[1]} after "
-                      f"{attempts[task]} timeout(s)", file=sys.stderr)
-                if checkpoint is not None:
-                    checkpoint.record_quarantined(
-                        GridCheckpoint.digest(task, scale), task,
-                        report.failures[task])
-            else:
-                report.retries += 1
-                queue.append(task)
-        wave += 1
-
-    if serial_fallback:
-        print(f"repro: re-running {len(serial_fallback)} task(s) serially "
-              f"after worker failure", file=sys.stderr)
-        _run_serial(serial_fallback, scale, use_cache, results, progress,
-                    total, checkpoint=checkpoint, report=report)
+        grid.run_serial(pending)
+    else:
+        _run_supervised(grid, pending, jobs, timeout, retries)
     return results

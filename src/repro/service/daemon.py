@@ -173,8 +173,7 @@ class ExperimentDaemon:
                 job = _DaemonJob(wire_task, QUARANTINED)
                 job.error = entry["error"] or "quarantined"
                 self.jobs[digest] = job
-                self.report.quarantined.append(task)
-                self.report.failures[task] = job.error
+                self.report.record(QUARANTINED, job.error, task)
             else:
                 self.jobs[digest] = _DaemonJob(wire_task, INFLIGHT)
                 self.supervisor.submit(digest, task, scale,
@@ -242,11 +241,10 @@ class ExperimentDaemon:
 
     def _sup_strike(self, digest, reason) -> None:
         self.journal.record_strike(digest, reason)
-        if "job_timeout" in reason:
-            self.loop.call_soon_threadsafe(self._count_timeout)
+        self.loop.call_soon_threadsafe(self.report.record, "strike", reason)
 
     def _sup_retry(self, digest) -> None:
-        self.loop.call_soon_threadsafe(self._count_retry)
+        self.loop.call_soon_threadsafe(self.report.record, "retry")
 
     def _sup_quarantined(self, digest, task, scale, error) -> None:
         self.journal.record_quarantine(digest, task, error)
@@ -261,21 +259,14 @@ class ExperimentDaemon:
             return
         job.state = state
         if state == DONE:
-            self.report.completed += 1
+            self.report.record(DONE)
         elif state == FAILED:
             job.error_kind, job.error, job.hang = detail
         elif state == QUARANTINED:
             job.error = detail
             task, _scale = task_from_wire(job.wire_task)
-            self.report.quarantined.append(task)
-            self.report.failures[task] = detail
+            self.report.record(QUARANTINED, detail, task)
         job.event.set()
-
-    def _count_retry(self) -> None:
-        self.report.retries += 1
-
-    def _count_timeout(self) -> None:
-        self.report.timeouts += 1
 
     # -- request handling ---------------------------------------------------
 

@@ -1,9 +1,12 @@
 """Supervised worker pool: heartbeats, a liveness watchdog, respawn,
 and per-workload circuit breakers.
 
-The PR-3 parallel executor protects *one grid* inside *one process*;
-this supervisor is the long-lived replacement the daemon fans out to.
-Differences that matter:
+This is the only worker pool in the repository: the ``repro serve``
+daemon keeps one alive across client grids, and
+:func:`repro.harness.parallel.run_grid` drives one in-process for a
+local ``--jobs N`` grid.  Both fold its events into a
+:class:`~repro.harness.parallel.GridReport` through
+:meth:`~repro.harness.parallel.GridReport.record`.
 
 * Workers are plain ``multiprocessing`` processes talking over duplex
   pipes — no shared queues, no feeder threads, so a SIGKILL'd worker
@@ -13,9 +16,7 @@ Differences that matter:
 * Every worker runs a heartbeat thread stamping a shared ``Value``; the
   watchdog kills workers whose heartbeat goes stale (a frozen or
   SIGSTOP'd process) *and* workers that sit on one cell past
-  ``job_timeout`` (a wedged simulation — this subsumes the per-cell
-  timeout of the PR-3 pool, where abandoning a hung worker meant
-  abandoning the whole pool).
+  ``job_timeout`` (a wedged simulation; ``None`` means unbounded).
 * A killed worker is respawned immediately: pool capacity is invariant.
 * Each kill or crash while holding a job is a **strike** against that
   job's content digest.  At ``max_strikes`` the circuit breaker trips
@@ -23,8 +24,9 @@ Differences that matter:
   rest of the grid keeps flowing through the respawned workers.
 
 The supervisor is synchronous and thread-driven so it can be used (and
-chaos-tested) without the asyncio daemon on top; the daemon bridges the
-callbacks onto its event loop.
+chaos-tested) without the asyncio daemon on top: the daemon bridges the
+callbacks onto its event loop, ``run_grid`` onto a queue its caller's
+thread drains.
 """
 
 from __future__ import annotations
@@ -44,15 +46,28 @@ from ..sim.gpu import SimulationHang
 QUEUED, RUNNING, DONE, FAILED, QUARANTINED = \
     "queued", "running", "done", "failed", "quarantined"
 
+#: Strike reason prefix of a cell that outlived ``job_timeout``.
+TIMED_OUT = "exceeded job_timeout"
 
-def _worker_main(conn, heartbeat, cache_dir, hb_interval) -> None:
+#: "spawn" on purpose: the supervisor thread (and, in the daemon, an
+#: event loop) is already running when a worker is respawned, and a
+#: forked child inheriting their lock states mid-flight is exactly the
+#: kind of heisenbug this subsystem exists to kill.
+START_METHOD = "spawn"
+#: Seconds between worker heartbeat stamps.
+HEARTBEAT_INTERVAL = 0.25
+#: Seconds the dispatch loop waits for worker messages per round.
+POLL_INTERVAL = 0.1
+
+
+def _worker_main(conn, heartbeat, cache_dir) -> None:
     """Worker body (top-level for spawn picklability): receive
     ``(digest, abbr, technique, scale, config)`` tasks, run them through
     the ordinary serial pipeline, ship back compressed result blobs.
 
-    A heartbeat thread stamps ``heartbeat`` every ``hb_interval``
-    seconds — proof the *process* is alive; per-job progress is judged
-    by the parent's ``job_timeout``, not by us.
+    A heartbeat thread stamps ``heartbeat`` every
+    :data:`HEARTBEAT_INTERVAL` seconds — proof the *process* is alive;
+    per-job progress is judged by the parent's ``job_timeout``, not by us.
     """
     from ..faults import chaos
     from ..harness import runner
@@ -67,7 +82,7 @@ def _worker_main(conn, heartbeat, cache_dir, hb_interval) -> None:
     def beat() -> None:
         while not stop.is_set():
             heartbeat.value = time.time()
-            stop.wait(hb_interval)
+            stop.wait(HEARTBEAT_INTERVAL)
 
     threading.Thread(target=beat, daemon=True).start()
     try:
@@ -123,12 +138,11 @@ class WorkerInfo:
 
 
 class _Worker:
-    def __init__(self, wid: int, ctx, cache_dir, hb_interval: float):
+    def __init__(self, wid: int, ctx, cache_dir):
         self.wid = wid
         self.respawns = 0
         self._ctx = ctx
         self._cache_dir = cache_dir
-        self._hb_interval = hb_interval
         self.conn = None
         self.proc = None
         self.heartbeat = None
@@ -141,8 +155,7 @@ class _Worker:
         self.heartbeat = self._ctx.Value("d", time.time())
         self.proc = self._ctx.Process(
             target=_worker_main,
-            args=(child, self.heartbeat, self._cache_dir,
-                  self._hb_interval),
+            args=(child, self.heartbeat, self._cache_dir),
             daemon=True, name=f"repro-worker-{self.wid}")
         self.proc.start()
         child.close()
@@ -199,21 +212,15 @@ class Supervisor:
     """
 
     def __init__(self, workers: int = 2, cache_dir=None,
-                 job_timeout: float = 120.0,
-                 heartbeat_interval: float = 0.25,
+                 job_timeout: float | None = 120.0,
                  heartbeat_timeout: float = 15.0,
-                 max_strikes: int = 2, poll_interval: float = 0.1,
-                 start_method: str = "spawn",
+                 max_strikes: int = 2,
                  on_done=None, on_failed=None, on_strike=None,
                  on_retry=None, on_quarantined=None):
-        # "spawn" on purpose: the daemon runs an event loop and threads,
-        # and a forked child inheriting their lock states mid-flight is
-        # exactly the kind of heisenbug this subsystem exists to kill.
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context(START_METHOD)
         self.job_timeout = job_timeout
         self.heartbeat_timeout = heartbeat_timeout
         self.max_strikes = max_strikes
-        self.poll_interval = poll_interval
         self.on_done = on_done
         self.on_failed = on_failed
         self.on_strike = on_strike
@@ -225,9 +232,16 @@ class Supervisor:
         self._queue: deque[str] = deque()
         self._draining = False
         self._stop = threading.Event()
-        self._workers = [_Worker(i, self._ctx, cache_dir,
-                                 heartbeat_interval)
-                         for i in range(max(1, workers))]
+        self._workers: list[_Worker] = []
+        try:
+            for wid in range(max(1, workers)):
+                self._workers.append(_Worker(wid, self._ctx, cache_dir))
+        except BaseException:
+            # A pool that cannot fully start must not leak the workers it
+            # did start (run_grid falls back to serial on OSError here).
+            for worker in self._workers:
+                worker.kill()
+            raise
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name="repro-supervisor")
         self._thread.start()
@@ -294,7 +308,7 @@ class Supervisor:
                     if worker.proc.is_alive():
                         conns[worker.conn] = worker
             ready = multiprocessing.connection.wait(
-                list(conns), timeout=self.poll_interval)
+                list(conns), timeout=POLL_INTERVAL)
             for conn in ready:
                 worker = conns[conn]
                 try:
@@ -355,14 +369,15 @@ class Supervisor:
             for worker in self._workers:
                 dead = not worker.proc.is_alive()
                 frozen = worker.heartbeat_age(now) > self.heartbeat_timeout
-                wedged = (worker.job is not None
+                wedged = (self.job_timeout is not None
+                          and worker.job is not None
                           and worker.busy_since is not None
                           and now - worker.busy_since > self.job_timeout)
                 if not (dead or frozen or wedged):
                     continue
                 reason = ("worker died" if dead else
                           "heartbeat lost" if frozen else
-                          f"exceeded job_timeout={self.job_timeout}s")
+                          f"{TIMED_OUT}={self.job_timeout}s")
                 held = worker.job
                 worker.respawn()
                 if held is not None:
@@ -398,12 +413,15 @@ class Supervisor:
         """Stop dispatching queued work and wait for the *in-flight*
         cells to settle (they land in the journal via ``on_done``);
         queued-but-unstarted jobs stay journaled as pending for the next
-        daemon generation.  Returns whether the pool drained in time."""
+        daemon generation.  Returns whether the pool drained in time
+        (``timeout`` defaults to ``job_timeout + 5``; unbounded when both
+        are ``None``)."""
         with self._lock:
             self._draining = True
-        deadline = time.time() + (timeout if timeout is not None
-                                  else self.job_timeout + 5.0)
-        while time.time() < deadline:
+        if timeout is None and self.job_timeout is not None:
+            timeout = self.job_timeout + 5.0
+        deadline = None if timeout is None else time.time() + timeout
+        while deadline is None or time.time() < deadline:
             with self._lock:
                 if all(w.job is None for w in self._workers):
                     return True

@@ -64,6 +64,15 @@ class TestBasics:
         t = AffineTuple(2, (1, 0, 0)).shl(scalar(3))
         np.testing.assert_array_equal(evaluate(t), (2 + TX) * 8)
 
+    def test_shl_of_non_integer_rejected(self):
+        # The datapath truncates to int64 before shifting: 0.5 << 1 is 0.
+        with pytest.raises(AffineError):
+            AffineTuple(0, (0.5, 0, 0)).shl(scalar(1))
+
+    def test_shl_count_out_of_range_rejected(self):
+        with pytest.raises(AffineError):
+            AffineTuple(2, (1, 0, 0)).shl(scalar(64))
+
     def test_shr_divisible(self):
         t = AffineTuple(8, (4, 0, 0)).shr(scalar(2))
         np.testing.assert_array_equal(evaluate(t), (8 + 4 * TX) / 4)

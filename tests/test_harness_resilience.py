@@ -1,19 +1,18 @@
 """Hardened harness: per-cell timeouts, bounded retry, quarantine,
 checkpoint/resume, corrupt-cache quarantine, and failure classification.
 
-The fast tests use stand-in executors (no real processes); the tests
-marked ``resilience`` exercise real worker processes, including a
-genuinely hung worker that the grid must survive.
+The tests marked ``resilience`` drive ``run_grid``'s real supervised
+worker pool.  Spawned workers do not see monkeypatches, so faults are
+injected through ``REPRO_CHAOS`` (:mod:`repro.faults.chaos`): a worker
+that dies mid-cell, and a genuinely hung worker the grid must survive.
 """
-
-import concurrent.futures
-import time
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.faults import chaos
 from repro.harness import GridReport, clear_cache, configure_cache, experiment_config
-from repro.harness import parallel, runner
+from repro.harness import runner
+from repro.harness.client import RemoteTaskError
 from repro.harness.diskcache import DiskCache
 from repro.harness.parallel import default_jobs, run_grid
 
@@ -57,65 +56,58 @@ def test_diskcache_quarantines_corrupt_entry(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Stand-in executors (no real processes)
-
-
-class _DeadPool:
-    """Executor whose futures all die with BrokenProcessPool."""
-
-    def __init__(self, *a, **kw):
-        pass
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_exception(BrokenProcessPool("worker died"))
-        return future
-
-    def shutdown(self, *a, **kw):
-        pass
-
-
-class _StuckPool:
-    """Executor whose futures never complete (a wedged worker)."""
-
-    def __init__(self, *a, **kw):
-        pass
-
-    def submit(self, fn, *args):
-        return concurrent.futures.Future()
-
-    def shutdown(self, *a, **kw):
-        pass
+# Real supervised worker processes, faults injected via REPRO_CHAOS
 
 
 TASKS = [("CP", "baseline", CFG), ("ST", "baseline", CFG)]
 
 
-def test_transient_failures_retry_then_fall_back_serially(monkeypatch,
-                                                          capsys):
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _DeadPool)
+def _chaos(monkeypatch, tmp_path, spec: str) -> None:
+    monkeypatch.setenv(chaos.ENV_SPEC, spec)
+    monkeypatch.setenv(chaos.ENV_DIR, str(tmp_path / "chaos-tokens"))
+
+
+def _serial_reference(tasks) -> dict:
+    return {task: runner.run_one(task[0], task[1], "tiny", task[2],
+                                 use_cache=False)
+            for task in tasks}
+
+
+@pytest.mark.resilience
+def test_crashed_worker_is_retried_and_grid_completes(monkeypatch,
+                                                      tmp_path):
+    """A worker that dies mid-cell costs that cell one strike: it is
+    re-run on a respawned worker and the grid matches serial bit for
+    bit."""
+    _chaos(monkeypatch, tmp_path, "die:CP/baseline@1")
     report = GridReport()
-    results = run_grid(TASKS, "tiny", jobs=2, backoff=0.0, report=report)
-    assert set(results) == set(TASKS)              # grid still completed
-    assert report.retries == len(TASKS)            # one retry wave each
-    assert "serially" in capsys.readouterr().err
+    results = run_grid(TASKS, "tiny", jobs=2, report=report)
+    assert report.retries == 1
+    assert report.timeouts == 0 and report.quarantined == []
+    ref = _serial_reference(TASKS)
+    for task in TASKS:
+        assert results[task].cycles == ref[task].cycles
+        assert results[task].stats.as_dict() == ref[task].stats.as_dict()
 
 
+@pytest.mark.resilience
 def test_timeouts_quarantine_and_resume(monkeypatch, tmp_path):
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _StuckPool)
+    _chaos(monkeypatch, tmp_path, "hang:*/baseline:60")
+    checkpoint = tmp_path / "ckpt"
     report = GridReport()
-    results = run_grid(TASKS, "tiny", jobs=2, timeout=0.05, retries=1,
-                       backoff=0.0, checkpoint=tmp_path, report=report)
+    results = run_grid(TASKS, "tiny", jobs=2, timeout=1.0, retries=1,
+                       checkpoint=checkpoint, report=report)
     assert results == {}
     assert report.timeouts == 2 * len(TASKS)       # initial try + 1 retry
+    assert report.retries == len(TASKS)
     assert sorted(t[0] for t in report.quarantined) == ["CP", "ST"]
-    assert all("timed out" in reason
+    assert all("job_timeout" in reason
                for reason in report.failures.values())
     # A re-run with the same checkpoint remembers the quarantine verdicts
-    # and never touches the (still broken) pool.
+    # and never starts a pool.
     resumed = GridReport()
-    results2 = run_grid(TASKS, "tiny", jobs=2, timeout=0.05,
-                        checkpoint=tmp_path, report=resumed)
+    results2 = run_grid(TASKS, "tiny", jobs=2, timeout=1.0,
+                        checkpoint=checkpoint, report=resumed)
     assert results2 == {}
     assert resumed.timeouts == 0
     assert len(resumed.quarantined) == len(TASKS)
@@ -143,32 +135,34 @@ def test_checkpoint_resume_skips_finished_cells(monkeypatch, tmp_path):
             results[task].stats.as_dict()
 
 
+@pytest.mark.resilience
 def test_retry_quarantined_gives_cells_another_chance(monkeypatch,
                                                       tmp_path):
     """Quarantine is sticky across runs (the checkpoint remembers), but
     ``retry_quarantined=True`` clears the verdict and the cells run —
     and, once they succeed, later resumes restore them as done."""
+    checkpoint = tmp_path / "ckpt"
     with monkeypatch.context() as m:
-        m.setattr(parallel, "ProcessPoolExecutor", _StuckPool)
+        _chaos(m, tmp_path, "hang:*/baseline:60")
         report = GridReport()
-        run_grid(TASKS, "tiny", jobs=2, timeout=0.05, retries=0,
-                 backoff=0.0, checkpoint=tmp_path, report=report)
+        run_grid(TASKS, "tiny", jobs=2, timeout=1.0, retries=0,
+                 checkpoint=checkpoint, report=report)
         assert len(report.quarantined) == len(TASKS)
 
     # Without the flag: still quarantined, nothing simulated.
     sticky = GridReport()
     results = run_grid(TASKS, "tiny", jobs=1, use_cache=False,
-                       checkpoint=tmp_path, report=sticky)
+                       checkpoint=checkpoint, report=sticky)
     assert results == {}
     assert len(sticky.quarantined) == len(TASKS)
     assert all("previous run" in reason
                for reason in sticky.failures.values())
 
     # With the flag: verdicts cleared, cells actually run (serially,
-    # with the broken pool long gone).
+    # with the chaos gone).
     retried = GridReport()
     results = run_grid(TASKS, "tiny", jobs=1, use_cache=False,
-                       checkpoint=tmp_path, report=retried,
+                       checkpoint=checkpoint, report=retried,
                        retry_quarantined=True)
     assert set(results) == set(TASKS)
     assert retried.completed == len(TASKS)
@@ -178,51 +172,21 @@ def test_retry_quarantined_gives_cells_another_chance(monkeypatch,
     clear_cache()
     resumed = GridReport()
     results2 = run_grid(TASKS, "tiny", jobs=1, use_cache=False,
-                        checkpoint=tmp_path, report=resumed)
+                        checkpoint=checkpoint, report=resumed)
     assert resumed.resumed == len(TASKS)
     for task in TASKS:
         assert results2[task].cycles == results[task].cycles
 
 
-def test_run_grid_waves_use_the_shared_backoff_schedule(monkeypatch):
-    """Satellite 1: the wave-retry sleep goes through
-    :func:`repro.harness.backoff.backoff_delay` with the caller's base."""
-    calls = []
-
-    def fake_delay(attempt, *, base, **kwargs):
-        calls.append((attempt, base))
-        return 0.0
-
-    monkeypatch.setattr(parallel, "backoff_delay", fake_delay)
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _DeadPool)
-    run_grid(TASKS, "tiny", jobs=2, backoff=0.125, retries=1)
-    assert calls == [(0, 0.125)]
-
-
-# ---------------------------------------------------------------------------
-# Real worker processes
-
-
-def _worker_boom(abbr, technique, scale, config, cache_dir):
-    raise ValueError("deterministic kernel bug")
-
-
-def _worker_hang_lib(abbr, technique, scale, config, cache_dir):
-    if abbr == "LIB":
-        time.sleep(30)
-    return _REAL_WORKER(abbr, technique, scale, config, cache_dir)
-
-
-_REAL_WORKER = parallel._worker
-
-
 @pytest.mark.resilience
-def test_deterministic_worker_exception_reraises(monkeypatch):
+def test_deterministic_worker_exception_reraises():
     """An exception raised by the simulation itself must propagate — a
-    serial re-run of a deterministic failure only reproduces it slower."""
-    monkeypatch.setattr(parallel, "_worker", _worker_boom)
-    with pytest.raises(ValueError, match="deterministic kernel bug"):
-        run_grid(TASKS, "tiny", jobs=2)
+    retry of a deterministic failure only reproduces it slower."""
+    tasks = [("NOPE", "baseline", CFG), ("CP", "baseline", CFG)]
+    with pytest.raises(RemoteTaskError, match="NOPE") as info:
+        run_grid(tasks, "tiny", jobs=2)
+    assert info.value.kind == "KeyError"
+    assert info.value.hang is None
 
 
 @pytest.mark.resilience
@@ -231,12 +195,13 @@ def test_hung_worker_is_quarantined_and_grid_completes(monkeypatch,
     """Acceptance criterion: with a genuinely hung worker in the pool,
     the rest of the grid completes, the hung cell is quarantined, and a
     resumed run picks up the finished cells from the checkpoint."""
-    monkeypatch.setattr(parallel, "_worker", _worker_hang_lib)
+    _chaos(monkeypatch, tmp_path, "hang:LIB/baseline:60")
+    checkpoint = tmp_path / "ckpt"
     tasks = [("CP", "baseline", CFG), ("LIB", "baseline", CFG),
              ("ST", "baseline", CFG)]
     report = GridReport()
     results = run_grid(tasks, "tiny", jobs=3, timeout=8.0, retries=0,
-                       backoff=0.0, checkpoint=tmp_path, report=report)
+                       checkpoint=checkpoint, report=report)
     done = {t[0] for t in results}
     assert done == {"CP", "ST"}
     assert report.timeouts == 1
@@ -245,7 +210,7 @@ def test_hung_worker_is_quarantined_and_grid_completes(monkeypatch,
     clear_cache()
     resumed = GridReport()
     results2 = run_grid(tasks, "tiny", jobs=3, timeout=8.0, retries=0,
-                        checkpoint=tmp_path, report=resumed)
+                        checkpoint=checkpoint, report=resumed)
     assert {t[0] for t in results2} == {"CP", "ST"}
     assert resumed.resumed == 2
     assert resumed.timeouts == 0

@@ -1,8 +1,6 @@
 """Tests for the multiprocess grid executor: bit-identical results,
-memo-cache installation, and graceful serial fallback on worker failure."""
-
-import concurrent.futures
-from concurrent.futures.process import BrokenProcessPool
+memo-cache installation, and graceful serial fallback when the
+supervised worker pool cannot start."""
 
 import pytest
 
@@ -12,8 +10,9 @@ from repro.harness import (
     experiment_config,
     run_suite,
 )
-from repro.harness import parallel, runner
+from repro.harness import runner
 from repro.harness.parallel import default_jobs, run_grid
+from repro.service import supervisor
 
 CFG = experiment_config(num_sms=2)
 ABBRS = ["CP", "LIB", "ST"]
@@ -68,34 +67,39 @@ def test_run_grid_reports_progress():
 
 
 class _BrokenPool:
-    """Stand-in executor whose construction fails like an exhausted
+    """Stand-in supervisor whose construction fails like an exhausted
     system (fork failure)."""
 
     def __init__(self, *a, **kw):
         raise OSError("cannot fork")
 
 
+_Supervisor = supervisor.Supervisor
+
+
 class _DeadWorkerPool:
-    """Stand-in executor whose futures all die with BrokenProcessPool."""
+    """A real supervisor whose second worker fails to spawn: the worker
+    it did start must not leak, and the grid runs serially."""
 
-    def __init__(self, *a, **kw):
-        pass
+    started: list = []
 
-    def __enter__(self):
-        return self
+    def __new__(cls, *a, **kw):
+        real_spawn = supervisor._Worker.spawn
 
-    def __exit__(self, *exc):
-        return False
+        def spawn(worker):
+            if worker.wid > 0:
+                raise OSError("cannot fork")
+            real_spawn(worker)
+            cls.started.append(worker)
 
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_exception(BrokenProcessPool("worker died"))
-        return future
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(supervisor._Worker, "spawn", spawn)
+            return _Supervisor(*a, **kw)
 
 
 @pytest.mark.parametrize("pool_cls", [_BrokenPool, _DeadWorkerPool])
 def test_fallback_to_serial_on_worker_failure(monkeypatch, capsys, pool_cls):
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", pool_cls)
+    monkeypatch.setattr(supervisor, "Supervisor", pool_cls)
     serial = run_suite(ABBRS[:2], "tiny", CFG, techniques=("baseline",))
     clear_cache()
     par = run_suite(ABBRS[:2], "tiny", CFG, techniques=("baseline",),
@@ -103,11 +107,15 @@ def test_fallback_to_serial_on_worker_failure(monkeypatch, capsys, pool_cls):
     for abbr in ABBRS[:2]:
         assert par[abbr]["baseline"].cycles == \
             serial[abbr]["baseline"].cycles
+    assert "running serially" in capsys.readouterr().err
+    if pool_cls is _DeadWorkerPool:
+        assert _DeadWorkerPool.started            # one worker did start
+        assert not any(w.proc.is_alive() for w in _DeadWorkerPool.started)
 
 
 def test_serial_path_taken_for_single_task(monkeypatch):
-    # One pending task never pays for a process pool.
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _BrokenPool)
+    # One pending task never pays for a worker pool.
+    monkeypatch.setattr(supervisor, "Supervisor", _BrokenPool)
     results = run_grid([("CP", "baseline", CFG)], "tiny", jobs=8)
     assert len(results) == 1
 
