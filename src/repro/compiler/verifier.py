@@ -21,6 +21,13 @@ Checks:
   stream contains no enqueues;
 * **barriers** — both streams contain the same number of barriers, in the
   same relative order against queue operations (by original index).
+
+``verify(program)`` also runs the semantic certifier
+(:mod:`repro.analysis.certify`) by default, as ``repro decouple`` does;
+``repro certify`` and ``repro lint`` call the certifier directly.
+``run_dac`` calls ``verify(program, semantic=False)`` on every launch:
+the certifier's verdict depends only on the kernel, so it is a
+compile-time gate, not a per-simulation cost.
 """
 
 from __future__ import annotations

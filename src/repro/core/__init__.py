@@ -37,10 +37,16 @@ def run_dac(launch: KernelLaunch, config: GPUConfig,
     non-decoupled on the baseline SM.  The replay's stats carry a
     ``dac.fallbacks`` count and the result records the triggering fault in
     ``extra["fallback_reason"]``.
+
+    A freshly decoupled program is verified structurally only (pairing,
+    ordering, guards, purity, barriers).  Semantic certification depends
+    only on the kernel, so it runs once, at compile time, in
+    ``repro certify``, ``repro lint`` and ``repro decouple`` — not on
+    every launch.
     """
     if program is None:
         program = decouple(launch.kernel)
-        report = verify(program)
+        report = verify(program, semantic=False)
         if not report.ok:
             raise RuntimeError(f"decoupler produced inconsistent streams "
                                f"for {launch.kernel.name!r}:\n{report}")

@@ -122,7 +122,7 @@ def _paper_kernel():
     """, name="paperline", params=("A",))
 
 
-def test_verifier_errors_carry_source_lines():
+def _enqueue_deleted_program():
     program = decouple(_paper_kernel())
     assert program.is_decoupled
     # Drop a guard... this kernel has none; drop the deq's enq instead.
@@ -131,11 +131,25 @@ def test_verifier_errors_carry_source_lines():
                  if inst.is_enq)
     from repro.analysis.mutate import _delete
     import dataclasses
-    broken = dataclasses.replace(program, affine=_delete(affine, enq_i))
-    report = verify(broken, semantic=False)
+    return dataclasses.replace(program, affine=_delete(affine, enq_i))
+
+
+def test_verifier_errors_carry_source_lines():
+    report = verify(_enqueue_deleted_program(), semantic=False)
     assert not report.ok
     assert any("(line " in err and "deq" in err for err in report.errors), \
         report.errors
+
+
+def test_run_dac_refuses_a_structurally_broken_decoupling(monkeypatch):
+    """``run_dac`` verifies only structurally, but that check still gates
+    every program it decouples itself."""
+    import repro.core
+    from repro.harness.runner import experiment_config
+    broken = _enqueue_deleted_program()
+    monkeypatch.setattr(repro.core, "decouple", lambda kernel: broken)
+    with pytest.raises(RuntimeError, match="inconsistent streams"):
+        repro.core.run_dac(get("ST").launch("tiny"), experiment_config())
 
 
 def test_summary_lists_queues_with_source_lines():

@@ -5,6 +5,8 @@ import dataclasses
 
 import numpy as np
 
+from repro.compiler.decouple import decouple
+from repro.compiler.verifier import verify
 from repro.core import run_dac
 from repro.isa import parse_kernel
 from repro.sim import GPUConfig, GlobalMemory, KernelLaunch
@@ -16,6 +18,7 @@ def _run(source, setup, grid=(1, 1, 1), block=(64, 1, 1), config=CFG):
     mem = GlobalMemory(1 << 21)
     params = setup(mem)
     kernel = parse_kernel(source, name="t", params=tuple(params))
+    assert verify(decouple(kernel)).ok
     launch = KernelLaunch(kernel, grid, block, params, mem)
     return run_dac(launch, config), mem, params
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from repro.affine import scalar
+from repro.compiler.decouple import decouple
+from repro.compiler.verifier import verify
 from repro.core import run_dac
 from repro.core.queues import ATQ, BarrierMarker, PerWarpQueue, TupleEntry
 from repro.isa import parse_kernel
@@ -60,6 +62,7 @@ def _run_dac_kernel(source, params_spec, grid=(1, 1, 1), block=(64, 1, 1),
     mem = GlobalMemory(1 << 20)
     params = setup(mem) if setup else dict(params_spec)
     kernel = parse_kernel(source, name="t", params=tuple(params))
+    assert verify(decouple(kernel)).ok
     launch = KernelLaunch(kernel, grid, block, params, mem, shared_words)
     result = run_dac(launch, config)
     return result, mem, params

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.compiler.decouple import decouple
+from repro.compiler.verifier import verify
 from repro.core import run_dac
 from repro.energy import area_report, dac_sram_bytes, energy_of
 from repro.isa import parse_kernel
@@ -26,6 +28,7 @@ def _launch():
     mem = GlobalMemory(1 << 20)
     params = dict(X=mem.alloc_array(np.arange(128)), O=mem.alloc(128))
     kernel = parse_kernel(SRC, name="t", params=("X", "O"))
+    assert verify(decouple(kernel)).ok
     return KernelLaunch(kernel, (2, 1, 1), (64, 1, 1), params, mem)
 
 

@@ -14,6 +14,8 @@ import dataclasses
 
 import pytest
 
+from repro.compiler.decouple import decouple
+from repro.compiler.verifier import verify
 from repro.core import run_dac
 from repro.faults import FaultPlan
 from repro.isa import parse_kernel
@@ -62,6 +64,7 @@ def _copy_launch(source, block):
     mem = GlobalMemory(1 << 20)
     params = dict(X=mem.alloc(64), O=mem.alloc(64))
     kernel = parse_kernel(source, name="t", params=tuple(params))
+    assert verify(decouple(kernel)).ok
     return KernelLaunch(kernel, (1, 1, 1), block, params, mem)
 
 

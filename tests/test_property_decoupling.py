@@ -10,6 +10,8 @@ as an oracle.
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.compiler.decouple import decouple
+from repro.compiler.verifier import verify
 from repro.core import run_dac
 from repro.isa import parse_kernel
 from repro.sim import GPUConfig, GlobalMemory, KernelLaunch, simulate
@@ -99,6 +101,7 @@ def _run(source, technique):
     launch = KernelLaunch(kernel, (2, 1, 1), (64, 1, 1),
                           dict(data=data, out=out), mem)
     if technique == "dac":
+        assert verify(decouple(kernel)).ok
         result = run_dac(launch, CFG)
     else:
         result = simulate(launch, CFG)
