@@ -32,7 +32,7 @@ from .client import (
     default_socket_path,
     try_connect,
 )
-from .parallel import GridCheckpoint, GridReport, default_jobs, run_grid
+from .parallel import GridReport, default_jobs, run_grid
 from .perfstats import (
     Summary,
     TTestResult,
@@ -60,7 +60,7 @@ from .runner import (
 )
 
 __all__ = [
-    "DiskCache", "Geomean", "GridCheckpoint", "GridReport", "Profile",
+    "DiskCache", "Geomean", "GridReport", "Profile",
     "RemoteTaskError", "ServiceBusy", "ServiceClient",
     "ServiceUnavailable", "Summary", "SweepPoint", "SweepResult",
     "TTestResult",

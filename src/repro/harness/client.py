@@ -3,14 +3,15 @@
 ``run_grid`` (and therefore every CLI command, figure driver, and bench)
 routes through a running daemon *transparently*: if the service socket
 answers a ping, pending cells are submitted over it and the results are
-read back out of the daemon's atomic blob store (client and daemon share
-a filesystem — that is what a unix socket means — so multi-megabyte
-device-memory images never ride the wire).  If no daemon is up, or one
-dies mid-grid, the caller falls back to the local pool — the same
-supervised pool (:class:`repro.service.supervisor.Supervisor`) the daemon
-runs, driven in-process; the daemon is an accelerator, never a
-dependency.  Either way a deterministic in-task failure raises
-:class:`RemoteTaskError`.
+read back out of the daemon's journal blobs by ``result_path`` (client
+and daemon share a filesystem — that is what a unix socket means — so
+multi-megabyte device-memory images never ride the wire; a missing or
+corrupt blob raises :class:`ServiceUnavailable`).  If no daemon is up,
+one of another package version answers the ping, or one dies mid-grid,
+the caller falls back to the local pool — the same supervised pool
+(:class:`repro.service.supervisor.Supervisor`) the daemon runs, driven
+in-process; the daemon is an accelerator, never a dependency.  Either
+way a deterministic in-task failure raises :class:`RemoteTaskError`.
 
 Backpressure is cooperative: a ``busy`` reply from the daemon's bounded
 queue is retried on the shared capped-exponential schedule with
@@ -22,16 +23,15 @@ step.
 from __future__ import annotations
 
 import os
-import pickle
 import socket
 import sys
 import time
-import zlib
 from pathlib import Path
 
 from ..sim.gpu import RunResult, SimulationHang
+from . import diskcache
 from .backoff import backoff_delay
-from .diskcache import default_cache_dir
+from .diskcache import decode_result, default_cache_dir, job_digest
 
 SOCKET_ENV = "REPRO_SERVICE_SOCKET"
 
@@ -104,9 +104,16 @@ class ServiceClient:
         return response
 
     def ping(self) -> dict:
+        """Liveness and version handshake.  A daemon of another package
+        version salts its job digests differently, so its results can
+        never be matched to this client's cells: treat it as absent."""
         response = self.request({"op": "ping"})
         if not response.get("ok") or response.get("op") != "pong":
             raise ServiceUnavailable(f"bad ping response: {response}")
+        if response.get("repro") != diskcache.__version__:
+            raise ServiceUnavailable(
+                f"daemon runs repro {response.get('repro')}, "
+                f"this client {diskcache.__version__}")
         return response
 
     def status(self) -> dict:
@@ -127,26 +134,21 @@ class ServiceClient:
         return response["jobs"]
 
     def wait(self, digest: str, timeout: float = 30.0) -> dict:
-        return self.request({"op": "wait", "digest": digest,
-                             "timeout": timeout})
+        response = self.request({"op": "wait", "digest": digest,
+                                 "timeout": timeout})
+        if not response.get("ok"):
+            raise ServiceUnavailable(f"wait rejected: {response}")
+        return response
 
     def load_result(self, response: dict) -> RunResult:
-        """Materialize a ``done`` wait-reply: read the daemon's atomic
-        blob (shared filesystem), falling back to the inline JSON form
-        if the daemon sent one."""
+        """Materialize a ``done`` wait-reply: decode the daemon's atomic
+        journal blob at ``result_path`` (shared filesystem)."""
         path = response.get("result_path")
         if path:
             try:
-                blob = Path(path).read_bytes()
-                result = pickle.loads(zlib.decompress(blob))
-                if isinstance(result, RunResult):
-                    return result
-            except (OSError, pickle.PickleError, zlib.error):
+                return decode_result(Path(path).read_bytes())
+            except (OSError, ValueError):
                 pass
-        inline = response.get("result")
-        if inline is not None:
-            from .diskcache import result_from_json_dict
-            return result_from_json_dict(inline)
         raise ServiceUnavailable(
             f"done job {response.get('digest')} has no readable result")
 
@@ -174,7 +176,6 @@ class ServiceClient:
         partial results, deterministic failures raise
         :class:`RemoteTaskError`.
         """
-        from ..service.protocol import job_digest
         tasks = list(tasks)
         digests = {job_digest(task, scale): task for task in tasks}
         pending = dict(digests)
@@ -186,6 +187,9 @@ class ServiceClient:
             busy = {}
             for reply in replies:
                 digest = reply["digest"]
+                if digest not in unsubmitted:
+                    raise ServiceUnavailable(
+                        f"daemon answered for unknown job {digest!r}")
                 if reply["state"] == "busy":
                     busy[digest] = unsubmitted[digest]
             if not busy:

@@ -17,7 +17,11 @@ that determines the outcome of a deterministic run:
 Entries are zlib-compressed pickles written atomically (temp file +
 ``os.replace``), so concurrent writers — e.g. the parallel executor's
 workers — can never leave a torn entry behind; a corrupt or unreadable
-entry reads as a miss and is removed.
+entry reads as a miss and is moved aside.  :func:`encode_result` /
+:func:`decode_result` are the one result codec (worker pipe, service
+client and job journal use it too), and :func:`job_digest` — salted like
+:func:`cache_key` — is the one job identity of the journal and of
+``run_grid(checkpoint=...)``.
 
 A JSON serialization of :class:`RunResult` is also provided for
 interchange with external tooling; it drops non-JSON-able ``extra``
@@ -55,11 +59,16 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-dac"
 
 
+def _salted_sha256():
+    """sha256 seeded so every identity goes stale with the timing model."""
+    return hashlib.sha256(
+        f"repro/{__version__}/schema{CACHE_SCHEMA}".encode())
+
+
 def cache_key(launch: KernelLaunch, technique: str,
               config: GPUConfig) -> str:
     """Content hash identifying one deterministic simulation run."""
-    h = hashlib.sha256()
-    h.update(f"repro/{__version__}/schema{CACHE_SCHEMA}".encode())
+    h = _salted_sha256()
     h.update(f"\x00{technique}\x00".encode())
     h.update(launch.kernel.source().encode())
     h.update(repr((launch.grid_dim, launch.block_dim,
@@ -69,6 +78,39 @@ def cache_key(launch: KernelLaunch, technique: str,
     h.update(json.dumps(dataclasses.asdict(config),
                         sort_keys=True).encode())
     return h.hexdigest()
+
+
+def job_digest(task, scale: str) -> str:
+    """Identity of one ``(abbr, technique, GPUConfig)`` grid cell at
+    ``scale``: the job journal's key and its blobs' file names."""
+    abbr, technique, config = task
+    h = _salted_sha256()
+    h.update(json.dumps([abbr, technique, scale, dataclasses.asdict(config)],
+                        sort_keys=True).encode())
+    return h.hexdigest()[:24]
+
+
+# ---------------------------------------------------------------------------
+# The result codec.
+
+def encode_result(result: RunResult) -> bytes:
+    """A :class:`RunResult` as bytes.  Device-memory images are mostly
+    zeros, so a pickle is zlib-compressed (level 1: ~100x smaller for
+    typical runs at negligible CPU cost)."""
+    return zlib.compress(
+        pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL), 1)
+
+
+def decode_result(blob: bytes) -> RunResult:
+    """Inverse of :func:`encode_result`; raises ``ValueError`` when the
+    blob is torn, truncated, or holds anything but a :class:`RunResult`."""
+    try:
+        result = pickle.loads(zlib.decompress(blob))
+    except Exception as exc:
+        raise ValueError(f"unreadable result blob: {exc!r}") from None
+    if not isinstance(result, RunResult):
+        raise ValueError("result blob does not hold a RunResult")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +166,8 @@ def result_from_json(text: str) -> RunResult:
 # The on-disk store.
 
 class DiskCache:
-    """Directory of ``<key>.pkl.z`` entries with atomic writes.
-
-    Device-memory images are mostly zeros, so entries are stored as
-    zlib-compressed pickles (level 1: ~100x smaller for typical runs at
-    negligible CPU cost).
-    """
+    """Directory of ``<key>.pkl.z`` entries (:func:`encode_result`
+    blobs) with atomic writes."""
 
     SUFFIX = ".pkl.z"
     CORRUPT_SUFFIX = ".pkl.z.corrupt"
@@ -160,16 +198,11 @@ class DiskCache:
         quarantined with a ``.corrupt`` suffix and reads as a miss."""
         path = self._path(key)
         try:
-            blob = path.read_bytes()
-            result = pickle.loads(zlib.decompress(blob))
+            result = decode_result(path.read_bytes())
         except FileNotFoundError:
             self.misses += 1
             return None
-        except Exception:
-            self.misses += 1
-            self._quarantine(path)
-            return None
-        if not isinstance(result, RunResult):
+        except (OSError, ValueError):
             self.misses += 1
             self._quarantine(path)
             return None
@@ -179,8 +212,7 @@ class DiskCache:
     def store(self, key: str, result: RunResult) -> None:
         """Atomically persist ``result`` under ``key`` (write to a temp
         file in the same directory, then ``os.replace``)."""
-        blob = zlib.compress(
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL), 1)
+        blob = encode_result(result)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:

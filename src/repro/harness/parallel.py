@@ -23,29 +23,31 @@ written atomically, so concurrent writers are safe), and the parent
 installs every returned result into its in-process memo cache — after a
 parallel prewarm, the serial figure drivers run entirely on cache hits.
 
-A :class:`GridCheckpoint` directory makes long sweeps resumable: every
-finished cell is persisted as it lands, so a re-run with the same
+A ``checkpoint`` directory makes long sweeps resumable.  It is a
+:class:`~repro.service.journal.JobJournal` — the format of the daemon's
+``--state`` directory: every finished cell is committed as a result
+blob plus a ``done`` record as it lands, so a re-run with the same
 checkpoint skips straight past completed (and quarantined) cells.
+Cells are keyed by :func:`~repro.harness.diskcache.job_digest`, which
+includes the package version, so a checkpoint from an older timing
+model starts fresh.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import os
-import pickle
 import queue
 import sys
-import tempfile
 import warnings
-import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from pathlib import Path
+from typing import TYPE_CHECKING
 
-from ..config import GPUConfig
 from ..sim.gpu import RunResult
+from .diskcache import job_digest
+
+if TYPE_CHECKING:
+    from ..service.journal import JobJournal
 
 #: Task: (benchmark abbr, technique, GPUConfig).
 Task = tuple
@@ -107,150 +109,48 @@ class GridReport:
             self.quarantined.append(task)
             self.failures[task] = detail
 
-    @staticmethod
-    def _task_to_wire(task) -> dict:
-        abbr, technique, config = task
-        return {"abbr": abbr, "technique": technique,
-                "config": dataclasses.asdict(config)}
-
-    @staticmethod
-    def _task_from_wire(data: dict) -> Task:
-        return (data["abbr"], data["technique"],
-                GPUConfig.from_dict(data["config"]))
-
     def to_dict(self) -> dict:
         """Lossless JSON-able form: tasks (tuples holding a
         :class:`GPUConfig`) are flattened so the report can cross the
         service wire and round-trip through :meth:`from_dict`."""
+        from ..service.protocol import task_to_wire
         return {
             "total": self.total,
             "completed": self.completed,
             "resumed": self.resumed,
             "retries": self.retries,
             "timeouts": self.timeouts,
-            "quarantined": [self._task_to_wire(t)
+            "quarantined": [task_to_wire(t, None)
                             for t in self.quarantined],
-            "failures": [{"task": self._task_to_wire(task),
+            "failures": [{"task": task_to_wire(task, None),
                           "reason": reason}
                          for task, reason in self.failures.items()],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "GridReport":
+        from ..service.protocol import task_from_wire
         report = cls(total=data["total"], completed=data["completed"],
                      resumed=data["resumed"], retries=data["retries"],
                      timeouts=data["timeouts"])
-        report.quarantined = [cls._task_from_wire(t)
+        report.quarantined = [task_from_wire(t)[0]
                               for t in data["quarantined"]]
-        report.failures = {cls._task_from_wire(f["task"]): f["reason"]
+        report.failures = {task_from_wire(f["task"])[0]: f["reason"]
                            for f in data["failures"]}
         return report
-
-
-class GridCheckpoint:
-    """Resumable sweep state: a directory holding one ``state.json`` plus a
-    compressed pickle per finished cell, all written atomically.
-
-    Cells are keyed by a digest of (abbr, technique, scale, config) — the
-    same identity :func:`run_grid` partitions work by — so a re-run with
-    the same task list resumes exactly where the previous run stopped,
-    including remembering which cells were quarantined.
-    """
-
-    STATE = "state.json"
-
-    def __init__(self, root: str | os.PathLike):
-        self.root = Path(root).expanduser()
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._state: dict[str, dict] = {}
-        path = self.root / self.STATE
-        try:
-            self._state = json.loads(path.read_text())
-        except FileNotFoundError:
-            pass
-        except Exception:
-            # A torn state file loses resume info, never correctness.
-            self._state = {}
-
-    @staticmethod
-    def digest(task: Task, scale: str) -> str:
-        abbr, technique, config = task
-        payload = json.dumps(
-            [abbr, technique, scale, dataclasses.asdict(config)],
-            sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:24]
-
-    def status(self, digest: str) -> str | None:
-        entry = self._state.get(digest)
-        return entry["status"] if entry else None
-
-    def save_result(self, digest: str, result: RunResult) -> None:
-        """Atomically persist just the result blob (no state change) —
-        the service journal uses this as its commit record: a loadable
-        blob *is* the proof a cell finished."""
-        blob = zlib.compress(
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL), 1)
-        self._write_atomic(self.root / f"{digest}.pkl.z", blob)
-
-    def result_path(self, digest: str) -> Path:
-        return self.root / f"{digest}.pkl.z"
-
-    def record_done(self, digest: str, task: Task, result: RunResult) -> None:
-        self.save_result(digest, result)
-        self._state[digest] = {"task": [task[0], task[1]], "status": "done"}
-        self._save_state()
-
-    def record_quarantined(self, digest: str, task: Task,
-                           error: str) -> None:
-        self._state[digest] = {"task": [task[0], task[1]],
-                               "status": "quarantined", "error": error}
-        self._save_state()
-
-    def clear_quarantined(self, digest: str) -> bool:
-        """Forget a quarantine verdict so the cell runs again on the next
-        sweep (``--retry-quarantined``); returns whether one was cleared."""
-        entry = self._state.get(digest)
-        if entry is None or entry.get("status") != "quarantined":
-            return False
-        del self._state[digest]
-        self._save_state()
-        return True
-
-    def load_result(self, digest: str) -> RunResult | None:
-        try:
-            blob = (self.root / f"{digest}.pkl.z").read_bytes()
-            result = pickle.loads(zlib.decompress(blob))
-        except Exception:
-            return None
-        return result if isinstance(result, RunResult) else None
-
-    def _save_state(self) -> None:
-        self._write_atomic(self.root / self.STATE,
-                           json.dumps(self._state, sort_keys=True,
-                                      indent=1).encode())
-
-    def _write_atomic(self, path: Path, blob: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
 
 
 @dataclass
 class _Grid:
     """One :func:`run_grid` call's bookkeeping.  Every path that settles a
     cell — serial, the supervised pool, the daemon — records it here, so
-    the results, memo cache, checkpoint, report and progress agree."""
+    the results, memo cache, checkpoint journal, report and progress
+    agree."""
 
     scale: str
     use_cache: bool
     report: GridReport
-    checkpoint: GridCheckpoint | None
+    journal: JobJournal | None
     progress: Callable[..., None] | None
     results: dict = field(default_factory=dict)
 
@@ -261,9 +161,8 @@ class _Grid:
             runner._remember(abbr, technique, self.scale, config, result)
         self.results[task] = result
         self.report.record("done")
-        if self.checkpoint is not None:
-            self.checkpoint.record_done(
-                GridCheckpoint.digest(task, self.scale), task, result)
+        if self.journal is not None:
+            self.journal.record_done(job_digest(task, self.scale), result)
         if self.progress is not None:
             self.progress(len(self.results), self.report.total, abbr,
                           technique, result)
@@ -272,9 +171,48 @@ class _Grid:
         print(f"repro: quarantining {task[0]}/{task[1]}: {error}",
               file=sys.stderr)
         self.report.record("quarantined", error, task)
-        if self.checkpoint is not None:
-            self.checkpoint.record_quarantined(
-                GridCheckpoint.digest(task, self.scale), task, error)
+        if self.journal is not None:
+            self.journal.record_quarantine(job_digest(task, self.scale),
+                                           error)
+
+    def triage(self, tasks: list, retry_quarantined: bool) -> list:
+        """Settle every cell the checkpoint journal or the cache already
+        holds; return the rest.  Only this grid's ``done`` blobs are
+        decoded, once each; one that fails to load runs again."""
+        from . import runner
+        replayed = self.journal.fold() if self.journal is not None else {}
+        pending: list[Task] = []
+        for task in tasks:
+            abbr, technique, config = task
+            if self.journal is not None:
+                digest = job_digest(task, self.scale)
+                status = replayed.get(digest, {}).get("status")
+                if status == "quarantined" and retry_quarantined:
+                    self.journal.record_unquarantine(digest)
+                    status = None
+                if status == "done":
+                    result = self.journal.load_result(digest)
+                    if result is not None:
+                        runner._remember(abbr, technique, self.scale,
+                                         config, result)
+                        self.results[task] = result
+                        self.report.resumed += 1
+                        if self.progress is not None:
+                            self.progress(len(self.results),
+                                          self.report.total, abbr,
+                                          technique, result)
+                        continue
+                elif status == "quarantined":
+                    self.report.record("quarantined",
+                                       "quarantined in a previous run", task)
+                    continue
+            if self.use_cache and runner.is_cached(abbr, technique,
+                                                   self.scale, config):
+                self.results[task] = runner.run_one(abbr, technique,
+                                                    self.scale, config)
+            else:
+                pending.append(task)
+        return pending
 
     def run_serial(self, tasks) -> None:
         from . import runner
@@ -294,7 +232,7 @@ def _run_supervised(grid: _Grid, pending: list, jobs: int,
     from .client import RemoteTaskError
 
     disk = runner.disk_cache() if grid.use_cache else None
-    tasks = {GridCheckpoint.digest(task, grid.scale): task
+    tasks = {job_digest(task, grid.scale): task
              for task in pending}
     events: queue.SimpleQueue = queue.SimpleQueue()
 
@@ -356,9 +294,10 @@ def run_grid(tasks, scale: str = "paper", jobs: int | None = None,
     Deterministic in-task exceptions raise
     :class:`~repro.harness.client.RemoteTaskError` immediately.
 
-    ``checkpoint`` (a directory path or :class:`GridCheckpoint`) makes the
-    sweep resumable: finished cells are persisted as they land and skipped
-    on the next call.  Pass a :class:`GridReport` as ``report`` to receive
+    ``checkpoint`` (a directory path) makes the sweep resumable: the
+    directory is a :class:`~repro.service.journal.JobJournal`, finished
+    cells are committed to it as they land and skipped on the next call.
+    Pass a :class:`GridReport` as ``report`` to receive
     retry/timeout/quarantine accounting.  ``retry_quarantined=True``
     forgets earlier quarantine verdicts and gives those cells another
     chance.
@@ -384,47 +323,23 @@ def run_grid(tasks, scale: str = "paper", jobs: int | None = None,
     if report is None:
         report = GridReport()
     report.total = len(norm)
-    if checkpoint is not None and not isinstance(checkpoint,
-                                                 GridCheckpoint):
-        checkpoint = GridCheckpoint(checkpoint)
-    grid = _Grid(scale, use_cache, report, checkpoint, progress)
-    results = grid.results
+    journal = None
+    if checkpoint is not None:
+        from ..service.journal import JobJournal
+        journal = JobJournal(checkpoint)
+    grid = _Grid(scale, use_cache, report, journal, progress)
+    try:
+        pending = grid.triage(norm, retry_quarantined)
+        if pending and service is not False:
+            from .client import run_tasks_via_service
+            pending = run_tasks_via_service(pending, service, grid)
 
-    pending: list[Task] = []
-    for task in norm:
-        abbr, technique, config = task
-        if checkpoint is not None:
-            digest = GridCheckpoint.digest(task, scale)
-            status = checkpoint.status(digest)
-            if status == "quarantined" and retry_quarantined:
-                checkpoint.clear_quarantined(digest)
-                status = None
-            if status == "done":
-                result = checkpoint.load_result(digest)
-                if result is not None:
-                    runner._remember(abbr, technique, scale, config, result)
-                    results[task] = result
-                    report.resumed += 1
-                    if progress is not None:
-                        progress(len(results), len(norm), abbr, technique,
-                                 result)
-                    continue
-            elif status == "quarantined":
-                report.record("quarantined", "quarantined in a previous run",
-                              task)
-                continue
-        if use_cache and runner.is_cached(abbr, technique, scale, config):
-            results[task] = runner.run_one(abbr, technique, scale, config)
+        jobs = jobs if jobs is not None else default_jobs()
+        if jobs <= 1 or len(pending) <= 1:
+            grid.run_serial(pending)
         else:
-            pending.append(task)
-
-    if pending and service is not False:
-        from .client import run_tasks_via_service
-        pending = run_tasks_via_service(pending, service, grid)
-
-    jobs = jobs if jobs is not None else default_jobs()
-    if jobs <= 1 or len(pending) <= 1:
-        grid.run_serial(pending)
-    else:
-        _run_supervised(grid, pending, jobs, timeout, retries)
-    return results
+            _run_supervised(grid, pending, jobs, timeout, retries)
+    finally:
+        if journal is not None:
+            journal.close()
+    return grid.results

@@ -35,7 +35,7 @@ import sys
 from pathlib import Path
 
 from .. import __version__
-from ..harness.diskcache import default_cache_dir, result_to_json_dict
+from ..harness.diskcache import default_cache_dir
 from ..harness.parallel import GridReport
 from .journal import JobJournal
 from .protocol import (
@@ -149,19 +149,15 @@ class ExperimentDaemon:
     def _replay(self) -> None:
         """Idempotent journal replay: done cells answer instantly,
         quarantined cells stay quarantined, pending cells re-enter the
-        queue with their strike counts intact, and cells whose wire task
-        no longer decodes are quarantined."""
+        queue with their strike counts intact, cells whose wire task no
+        longer decodes are quarantined, and cells journaled by another
+        package version (their digest no longer matches) are skipped."""
         replayed = self.journal.replay()
         resumed = requeued = 0
         for digest, entry in replayed.items():
             wire_task = entry["task"]
             if wire_task is None:
                 continue              # strike/quarantine without a submit
-            if entry["status"] == "done":
-                self.jobs[digest] = _DaemonJob(wire_task, DONE)
-                self.report.resumed += 1
-                resumed += 1
-                continue
             try:
                 task, scale = task_from_wire(wire_task)
             except ProtocolError as exc:
@@ -169,7 +165,13 @@ class ExperimentDaemon:
                 # names a since-removed field) must not abort start().
                 self._quarantine_undecodable(digest, wire_task, entry, exc)
                 continue
-            if entry["status"] == "quarantined":
+            if job_digest(task, scale) != digest:
+                continue              # no current client can name it
+            if entry["status"] == "done":
+                self.jobs[digest] = _DaemonJob(wire_task, DONE)
+                self.report.resumed += 1
+                resumed += 1
+            elif entry["status"] == "quarantined":
                 job = _DaemonJob(wire_task, QUARANTINED)
                 job.error = entry["error"] or "quarantined"
                 self.jobs[digest] = job
@@ -194,9 +196,7 @@ class ExperimentDaemon:
             job.error = entry["error"] or str(exc)
         else:
             job.error = str(exc)
-            self.journal.record_quarantine(
-                digest, (wire_task.get("abbr"), wire_task.get("technique")),
-                job.error)
+            self.journal.record_quarantine(digest, job.error)
         self.jobs[digest] = job
         self._log(f"journal replay: quarantined {digest[:12]}: {job.error}")
 
@@ -232,7 +232,7 @@ class ExperimentDaemon:
     # -- supervisor callbacks (supervisor thread) ---------------------------
 
     def _sup_done(self, digest, task, scale, result) -> None:
-        self.journal.record_done(digest, task, result)
+        self.journal.record_done(digest, result)
         self.loop.call_soon_threadsafe(self._settle, digest, DONE, None)
 
     def _sup_failed(self, digest, kind, message, hang) -> None:
@@ -247,7 +247,7 @@ class ExperimentDaemon:
         self.loop.call_soon_threadsafe(self.report.record, "retry")
 
     def _sup_quarantined(self, digest, task, scale, error) -> None:
-        self.journal.record_quarantine(digest, task, error)
+        self.journal.record_quarantine(digest, error)
         self.loop.call_soon_threadsafe(
             self._settle, digest, QUARANTINED, error)
 
@@ -358,10 +358,6 @@ class ExperimentDaemon:
         response = {"ok": True, "digest": digest, "state": state}
         if job.state == DONE:
             response["result_path"] = str(self.journal.result_path(digest))
-            if request.get("inline"):
-                result = self.journal.load_result(digest)
-                if result is not None:
-                    response["result"] = result_to_json_dict(result)
         elif job.state == FAILED:
             response.update({"kind": job.error_kind,
                              "message": job.error, "hang": job.hang})

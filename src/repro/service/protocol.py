@@ -17,9 +17,12 @@ Ops (see :mod:`repro.service.daemon` for semantics):
   (the chaos campaign SIGKILLs those) and a ``GridReport`` dict;
 * ``shutdown`` — graceful drain-and-exit.
 
-A job is identified by the same content digest the checkpoint layer
-uses (:meth:`repro.harness.parallel.GridCheckpoint.digest`): abbr,
-technique, scale, and the full ``GPUConfig``.
+A job is identified by :func:`repro.harness.diskcache.job_digest`: a
+hash of abbr, technique, scale and the full ``GPUConfig``, salted with
+the package version — the same key ``run_grid(checkpoint=...)`` uses, so
+a journal directory doubles as a checkpoint.  :func:`task_to_wire` /
+:func:`task_from_wire` are the one JSON form of a task; ``GridReport``
+uses them too.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import dataclasses
 import json
 
 from ..config import GPUConfig
-from ..harness.parallel import GridCheckpoint
+from ..harness.diskcache import job_digest as job_digest  # re-export
 
 PROTOCOL_VERSION = 1
 
@@ -72,10 +75,11 @@ def read_message(sock_file) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# Job identity and task encoding.
+# Task encoding.
 
-def task_to_wire(task, scale: str) -> dict:
-    """``(abbr, technique, GPUConfig)`` → JSON-able job description."""
+def task_to_wire(task, scale: str | None) -> dict:
+    """``(abbr, technique, GPUConfig)`` → JSON-able job description
+    (``scale=None`` for a bare task, as in a ``GridReport``)."""
     abbr, technique, config = task
     return {"abbr": abbr, "technique": technique, "scale": scale,
             "config": dataclasses.asdict(config)}
@@ -90,8 +94,3 @@ def task_from_wire(job: dict) -> tuple[tuple, str]:
     except (KeyError, TypeError) as exc:
         raise ProtocolError(f"malformed job description: {exc}") from None
 
-
-def job_digest(task, scale: str) -> str:
-    """Content digest identifying one job — shared with the checkpoint
-    layer so journal dirs double as ``run_grid`` checkpoints."""
-    return GridCheckpoint.digest(task, scale)

@@ -12,7 +12,9 @@ local ``--jobs N`` grid.  Both fold its events into a
   pipes — no shared queues, no feeder threads, so a SIGKILL'd worker
   can never poison another worker's channel, and
   ``multiprocessing.connection.wait`` doubles as the death detector
-  (a dead peer's pipe polls ready and then EOFs).
+  (a dead peer's pipe polls ready and then EOFs).  A finished cell
+  crosses the pipe as one :func:`~repro.harness.diskcache.encode_result`
+  blob, the same codec as the disk cache and the job journal.
 * Every worker runs a heartbeat thread stamping a shared ``Value``; the
   watchdog kills workers whose heartbeat goes stale (a frozen or
   SIGSTOP'd process) *and* workers that sit on one cell past
@@ -33,13 +35,12 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import multiprocessing.connection
-import pickle
 import threading
 import time
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
+from ..harness.diskcache import decode_result, encode_result
 from ..sim.gpu import SimulationHang
 
 #: Job states a supervisor reports.
@@ -63,7 +64,8 @@ POLL_INTERVAL = 0.1
 def _worker_main(conn, heartbeat, cache_dir) -> None:
     """Worker body (top-level for spawn picklability): receive
     ``(digest, abbr, technique, scale, config)`` tasks, run them through
-    the ordinary serial pipeline, ship back compressed result blobs.
+    the ordinary serial pipeline, ship back result blobs
+    (:func:`~repro.harness.diskcache.encode_result`).
 
     A heartbeat thread stamps ``heartbeat`` every
     :data:`HEARTBEAT_INTERVAL` seconds — proof the *process* is alive;
@@ -97,9 +99,7 @@ def _worker_main(conn, heartbeat, cache_dir) -> None:
             try:
                 result = runner.run_one(abbr, technique, scale, config,
                                         use_cache=cache_dir is not None)
-                blob = zlib.compress(pickle.dumps(
-                    result, protocol=pickle.HIGHEST_PROTOCOL), 1)
-                reply = ("done", digest, blob)
+                reply = ("done", digest, encode_result(result))
             except SimulationHang as hang:
                 reply = ("error", digest, "SimulationHang", str(hang),
                          hang.to_dict())
@@ -352,7 +352,7 @@ class Supervisor:
                 return                # stale result from a replaced twin
             if kind == "done":
                 job.state = DONE
-                result = pickle.loads(zlib.decompress(message[2]))
+                result = decode_result(message[2])
             else:
                 job.state = FAILED
                 job.error_kind, job.error, job.hang = message[2:5]

@@ -11,9 +11,9 @@ import pytest
 
 from repro.faults import chaos
 from repro.harness import GridReport, clear_cache, configure_cache, experiment_config
-from repro.harness import runner
+from repro.harness import diskcache, runner
 from repro.harness.client import RemoteTaskError
-from repro.harness.diskcache import DiskCache
+from repro.harness.diskcache import DiskCache, job_digest
 from repro.harness.parallel import default_jobs, run_grid
 
 CFG = experiment_config(num_sms=2)
@@ -133,6 +133,68 @@ def test_checkpoint_resume_skips_finished_cells(monkeypatch, tmp_path):
         assert results2[task].cycles == results[task].cycles
         assert results2[task].stats.as_dict() == \
             results[task].stats.as_dict()
+
+
+def test_checkpoint_from_older_version_is_resimulated(monkeypatch,
+                                                      tmp_path):
+    """Checkpointed cells are keyed by the package version too: after a
+    timing-model change a resume re-simulates instead of replaying."""
+    run_grid(TASKS[:1], "tiny", jobs=1, use_cache=False,
+             checkpoint=tmp_path)
+    clear_cache()
+    monkeypatch.setattr(diskcache, "__version__", "0.0.0-newer")
+    report = GridReport()
+    run_grid(TASKS[:1], "tiny", jobs=1, use_cache=False,
+             checkpoint=tmp_path, report=report)
+    assert report.resumed == 0
+    assert report.completed == 1
+
+
+def test_corrupt_checkpoint_blob_resimulates_that_cell(monkeypatch,
+                                                       tmp_path):
+    """A truncated result blob costs exactly its own cell: the resume
+    re-simulates it (Stats equal to a serial run) and restores the rest.
+    The checkpoint holds nothing but the journal and result blobs."""
+    run_grid(TASKS, "tiny", jobs=1, use_cache=False, checkpoint=tmp_path)
+    assert {p.name for p in tmp_path.iterdir()
+            if not p.name.endswith(DiskCache.SUFFIX)} == {"journal.jsonl"}
+    torn = TASKS[0]
+    blob = tmp_path / f"{job_digest(torn, 'tiny')}{DiskCache.SUFFIX}"
+    blob.write_bytes(blob.read_bytes()[:40])
+    clear_cache()
+
+    simulated = []
+    real = runner.simulate_launch
+
+    def spy(launch, technique, config, *args, **kwargs):
+        simulated.append(launch.kernel.name)
+        return real(launch, technique, config, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "simulate_launch", spy)
+    report = GridReport()
+    results = run_grid(TASKS, "tiny", jobs=1, use_cache=False,
+                       checkpoint=tmp_path, report=report)
+    assert report.resumed == len(TASKS) - 1
+    assert report.completed == 1
+    assert simulated == ["cp"]                   # CP's kernel only
+    ref = _serial_reference(TASKS)
+    for task in TASKS:
+        assert results[task].stats.as_dict() == ref[task].stats.as_dict()
+
+
+def test_resume_decodes_only_this_grids_blobs(tmp_path):
+    """A resume opens the blobs of the cells it asks for and no others, so
+    a checkpoint shared with a larger sweep (or a daemon's ``--state``
+    directory) costs only this grid's cells."""
+    run_grid(TASKS, "tiny", jobs=1, use_cache=False, checkpoint=tmp_path)
+    other = tmp_path / f"{job_digest(TASKS[1], 'tiny')}{DiskCache.SUFFIX}"
+    other.write_bytes(b"torn")
+    clear_cache()
+    report = GridReport()
+    run_grid(TASKS[:1], "tiny", jobs=1, use_cache=False,
+             checkpoint=tmp_path, report=report)
+    assert report.resumed == 1
+    assert other.exists()                # never read, so never moved aside
 
 
 @pytest.mark.resilience

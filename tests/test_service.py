@@ -17,7 +17,7 @@ import pytest
 from repro.config import GPUConfig
 from repro.faults import chaos
 from repro.harness import clear_cache, configure_cache, experiment_config
-from repro.harness import runner
+from repro.harness import diskcache, runner
 from repro.harness.parallel import GridReport
 from repro.service.journal import JobJournal
 from repro.service.protocol import (
@@ -72,13 +72,16 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             task_from_wire({"abbr": "CP"})
 
-    def test_job_digest_is_content_addressed(self):
+    def test_job_digest_is_content_addressed(self, monkeypatch):
         a = job_digest(TASK, SCALE)
         assert a == job_digest(TASK, SCALE)
         assert a != job_digest(TASK, "paper")
         assert a != job_digest(("CP", "dac", CFG), SCALE)
         other = experiment_config(num_sms=4)
         assert a != job_digest(("CP", "baseline", other), SCALE)
+        # A new timing model is a new job, exactly as for cache_key.
+        monkeypatch.setattr(diskcache, "__version__", "0.0.0-older")
+        assert a != job_digest(TASK, SCALE)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +183,23 @@ class TestWireForms:
 # Write-ahead journal
 
 
+class _StubSupervisor:
+    """Stands in for the worker pool when a test drives the daemon's
+    replay and submit logic directly."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit(self, digest, task, scale, strikes=0):
+        self.submitted.append((digest, task, scale))
+
+    def queue_depth(self):
+        return len(self.submitted)
+
+    def state(self, digest):
+        return "queued"
+
+
 class TestJournal:
     def test_replay_lifecycle(self, tmp_path):
         digest = job_digest(TASK, SCALE)
@@ -191,7 +211,7 @@ class TestJournal:
             journal.record_strike(digest, "worker died")
             assert journal.replay()[digest]["strikes"] == 1
 
-            journal.record_quarantine(digest, TASK, "breaker tripped")
+            journal.record_quarantine(digest, "breaker tripped")
             job = journal.replay()[digest]
             assert job["status"] == "quarantined"
             assert job["error"] == "breaker tripped"
@@ -201,7 +221,7 @@ class TestJournal:
             assert job["status"] == "pending" and job["strikes"] == 0
 
             result = runner.run_one(*TASK[:2], SCALE, CFG, use_cache=False)
-            journal.record_done(digest, TASK, result)
+            journal.record_done(digest, result)
             assert journal.replay()[digest]["status"] == "done"
             assert journal.load_result(digest).cycles == result.cycles
 
@@ -224,6 +244,56 @@ class TestJournal:
             assert list(jobs) == [digest]
             assert jobs[digest]["status"] == "pending"
 
+    def test_corrupt_blob_replays_as_pending(self, tmp_path):
+        """A truncated ``done`` blob is moved aside as ``.pkl.z.corrupt``
+        and its cell replays as pending, so it runs again."""
+        digest = job_digest(TASK, SCALE)
+        with JobJournal(tmp_path) as journal:
+            journal.record_submit(digest, task_to_wire(TASK, SCALE))
+            result = runner.run_one(*TASK[:2], SCALE, CFG, use_cache=False)
+            journal.record_done(digest, result)
+            blob = journal.result_path(digest)
+            blob.write_bytes(blob.read_bytes()[:40])
+            assert journal.replay()[digest]["status"] == "pending"
+        assert not blob.exists()
+        assert blob.with_name(blob.name + ".corrupt").exists()
+
+    def test_older_version_journal_is_not_reused(self, tmp_path,
+                                                 monkeypatch):
+        """A journal written under another package version neither
+        replays as done nor lets the daemon dedup the job into it, and
+        the daemon's replay neither resumes nor requeues its entries."""
+        from repro.service.daemon import ExperimentDaemon
+
+        digest = job_digest(TASK, SCALE)
+        pending = ("CP", "dac", CFG)
+        with JobJournal(tmp_path) as journal:
+            journal.record_submit(digest, task_to_wire(TASK, SCALE))
+            result = runner.run_one(*TASK[:2], SCALE, CFG, use_cache=False)
+            journal.record_done(digest, result)
+            journal.record_submit(job_digest(pending, SCALE),
+                                  task_to_wire(pending, SCALE))
+
+        monkeypatch.setattr(diskcache, "__version__", "0.0.0-newer")
+        fresh = job_digest(TASK, SCALE)
+        with JobJournal(tmp_path) as journal:
+            assert fresh not in journal.replay()
+
+        daemon = ExperimentDaemon(tmp_path / "sock", state_dir=tmp_path,
+                                  use_cache=False, log=lambda msg: None)
+        daemon.journal = JobJournal(tmp_path)
+        daemon.supervisor = _StubSupervisor()
+        try:
+            daemon._replay()
+            assert daemon.jobs == {} and daemon.report.resumed == 0
+            assert daemon.supervisor.submitted == []
+            reply = daemon._op_submit(
+                {"jobs": [task_to_wire(TASK, SCALE)]})
+        finally:
+            daemon.journal.close()
+        assert reply["jobs"] == [{"digest": fresh, "state": "queued"}]
+        assert [d for d, _t, _s in daemon.supervisor.submitted] == [fresh]
+
     def test_journal_dir_is_a_run_grid_checkpoint(self, tmp_path):
         """The daemon's journal directory doubles as a ``run_grid``
         checkpoint: a grid pointed at it resumes the daemon's work."""
@@ -232,7 +302,7 @@ class TestJournal:
         digest = job_digest(TASK, SCALE)
         with JobJournal(tmp_path) as journal:
             result = runner.run_one(*TASK[:2], SCALE, CFG, use_cache=False)
-            journal.record_done(digest, TASK, result)
+            journal.record_done(digest, result)
         clear_cache()
         report = GridReport()
         results = run_grid([TASK], SCALE, jobs=1, use_cache=False,
@@ -246,13 +316,6 @@ class TestJournal:
         former ``datapath`` knob) is quarantined with the decode error and
         journaled; replay keeps going and requeues the decodable job."""
         from repro.service.daemon import ExperimentDaemon
-
-        class _StubSupervisor:
-            def __init__(self):
-                self.submitted = []
-
-            def submit(self, digest, task, scale, strikes=0):
-                self.submitted.append((digest, task, scale))
 
         good = job_digest(TASK, SCALE)
         stale_wire = task_to_wire(TASK, SCALE)

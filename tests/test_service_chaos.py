@@ -40,10 +40,11 @@ import pytest
 
 from repro.faults import chaos
 from repro.harness import clear_cache, configure_cache, experiment_config
-from repro.harness import runner
+from repro.harness import diskcache, runner
 from repro.harness.client import (
     SOCKET_ENV,
     ServiceClient,
+    ServiceUnavailable,
     try_connect,
 )
 from repro.harness.parallel import GridReport, run_grid
@@ -376,6 +377,35 @@ def test_run_grid_falls_back_without_a_daemon(svc, monkeypatch):
     ref = serial_reference(GRID[:2])
     for (abbr, technique, _cfg), result in results.items():
         assert_bit_identical(result, ref[(abbr, technique)])
+
+
+def test_run_grid_skips_a_daemon_of_another_version(svc, monkeypatch):
+    """A daemon of another package version salts its job digests
+    differently, so it can never answer for this client's cells: the
+    handshake turns it away and the grid runs on the local pool."""
+    proc = start_daemon(svc, workers=1)
+    monkeypatch.setenv(SOCKET_ENV, str(svc.sock))
+    monkeypatch.setattr(diskcache, "__version__", "0.0.0-newer")
+    assert try_connect(svc.sock) is None
+
+    report = GridReport()
+    results = run_grid(GRID[:2], SCALE, jobs=1, use_cache=False,
+                       report=report)
+    assert set(results) == set(GRID[:2])
+    assert report.completed == 2
+    assert sim_counts(svc) == Counter()          # the daemon ran nothing
+    ref = serial_reference(GRID[:2])
+    for (abbr, technique, _cfg), result in results.items():
+        assert_bit_identical(result, ref[(abbr, technique)])
+
+    # Past the handshake, replies naming jobs the client cannot match
+    # end the conversation instead of looping on them.
+    with ServiceClient(svc.sock) as client:
+        with pytest.raises(ServiceUnavailable):
+            client.wait(job_digest(GRID[0], SCALE), timeout=0.1)
+        with pytest.raises(ServiceUnavailable):
+            client.run_tasks(GRID[:1], SCALE)
+    assert stop_daemon(svc, proc) == 0
 
 
 # ---------------------------------------------------------------------------
