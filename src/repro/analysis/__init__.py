@@ -2,6 +2,9 @@
 
 Static passes over kernels and decoupled programs, reusing the compiler's
 CFG / dataflow / affine analyses, with stable ``RPL0xx`` diagnostic codes.
+Lint and the certifier share one symbolic domain: the barrier, race and
+bounds passes read the closed forms of :mod:`repro.analysis.symexec`
+from the same :class:`SymbolicKernel` the certifier proves against.
 Every diagnostic class is validated dynamically by the campaign in
 :mod:`repro.analysis.campaign`: seeded defects must both trip the lint and
 exhibit the predicted simulator behavior (hang, oracle divergence, or DAC

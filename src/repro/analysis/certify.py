@@ -47,6 +47,7 @@ from ..compiler.verifier import verify
 from ..isa import DeqToken, Kernel, Opcode
 from .diagnostics import LintReport, make_diagnostic
 from .symexec import (
+    LOOP_PLACEHOLDERS,
     Atom,
     Pred,
     SymExpr,
@@ -108,8 +109,7 @@ def _loopish(x) -> bool:
     for a in atoms_of(x):
         if a.kind == "exitcount":
             return True
-        if a.kind == "opaque" and a.args and a.args[0] in ("loop", "break",
-                                                           "infinite-loop"):
+        if a.kind == "opaque" and a.args and a.args[0] in LOOP_PLACEHOLDERS:
             return True
     return False
 
@@ -360,10 +360,14 @@ def _scan_missed(report: LintReport, program: DecoupledProgram,
 # Entry points.
 # ---------------------------------------------------------------------------
 
-def certify_program(program: DecoupledProgram) -> LintReport:
+def certify_program(program: DecoupledProgram,
+                    sym_orig: SymbolicKernel | None = None) -> LintReport:
     """Certify one decoupled program; findings are RPL05x diagnostics.
     An empty report is a machine-checked proof that every queue's tuples
-    reproduce the original addresses/predicates for all launches."""
+    reproduce the original addresses/predicates for all launches.
+
+    ``sym_orig`` is ``symexec(program.original)`` when the caller already
+    has it (the linter shares its own)."""
     report = LintReport()
     structural = verify(program, semantic=False)
     for err in structural.errors:
@@ -371,7 +375,10 @@ def certify_program(program: DecoupledProgram) -> LintReport:
     if not program.is_decoupled:
         return report.finalize()
 
-    sym_orig = symexec(program.original)
+    if sym_orig is None:
+        sym_orig = symexec(program.original)
+    elif sym_orig.kernel is not program.original:
+        raise ValueError("sym_orig was not built from program.original")
     sym_aff = symexec(program.affine)
 
     enq_by_qid: dict[int, int] = {}

@@ -12,6 +12,9 @@ The driver composes the six passes:
   translation-validation certifier (RPL050-054,
   :mod:`repro.analysis.certify`).  An already-decoupled stream kernel
   (containing enq/deq forms) is not re-decoupled.
+
+The barrier, race and bounds passes and the certifier share the
+context's one :class:`~repro.analysis.symexec.SymbolicKernel`.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ def lint_kernel(kernel: Kernel, config: GPUConfig | None = None,
             report.extend(queue_pass(program, config))
             if program.is_decoupled:
                 from .certify import certify_program
-                report.merge(certify_program(program))
+                report.merge(certify_program(program, ctx.symbolic))
     return report.finalize()
 
 

@@ -5,11 +5,22 @@ program) to a list of :class:`~repro.analysis.diagnostics.Diagnostic`.
 All passes are *read-only*: they build their own analyses over the kernel
 and never mutate it — a property the test suite checks with hypothesis.
 
+The barrier, race and bounds passes read one symbolic domain: the
+per-instruction closed forms of :func:`~repro.analysis.symexec.symexec`,
+the same :class:`~repro.analysis.symexec.SymbolicKernel` the certifier
+uses.  A value is thread-varying when its closed form is
+(:meth:`~repro.analysis.symexec.SymbolicKernel.thread_varying`: a
+``tid.*`` symbol, a dequeue, or a placeholder of a loop some thread may
+run differently), and an address is
+analysed through its degree-<=1 fragment
+(:func:`~repro.analysis.symexec.linear_form`).
+
 Conservatism policy: error-severity codes fire only on *proofs* (a barrier
 under a provably thread-divergent branch, a dequeue with no enqueue);
 warning codes may use heuristics but are tuned so the 29 shipped workloads
-stay quiet.  Anything the abstract domains cannot track (non-linear
-addresses, data-dependent guards) is skipped, not guessed at.
+stay quiet.  Anything the closed forms cannot pin down (non-linear or
+loop-carried addresses, data-dependent guards, unreachable code) is
+skipped, not guessed at.
 """
 
 from __future__ import annotations
@@ -17,21 +28,14 @@ from __future__ import annotations
 import networkx as nx
 
 from ..config import GPUConfig
-from ..isa import Kernel, MemSpace, Opcode, PredReg
+from ..isa import Kernel, MemRef, MemSpace, Opcode, PredReg
 from ..compiler.affine_analysis import AffineAnalysis
 from ..compiler.decouple import DecoupledProgram
 from ..compiler.verifier import _deq_tokens
 from ..sim.launch import WORD, KernelLaunch
 from .diagnostics import Diagnostic, make_diagnostic
 from .liveness import Liveness
-from .ranges import (
-    TOP,
-    LinearValues,
-    geometry_bindings,
-    global_thread_form,
-    thread_spans,
-)
-from .uniformity import Uniformity
+from .symexec import SymbolicKernel, linear_form, symexec
 
 
 class LintContext:
@@ -42,9 +46,20 @@ class LintContext:
         self.kernel = kernel
         self.launch = launch
         self.config = config or GPUConfig()
+        #: launch constants folded into address forms
+        self.geometry: dict[str, float] = {}
+        #: inclusive value range of every other symbol of a launch
+        self.spans: dict[str, tuple[float, float]] = {}
+        if launch is not None:
+            for axis, g, b in zip("xyz", launch.grid_dim, launch.block_dim):
+                self.geometry[f"ntid.{axis}"] = float(b)
+                self.geometry[f"nctaid.{axis}"] = float(g)
+                self.spans[f"tid.{axis}"] = (0.0, float(b - 1))
+                self.spans[f"ctaid.{axis}"] = (0.0, float(g - 1))
+            for name, value in launch.params.items():
+                self.spans[f"param:{name}"] = (float(value), float(value))
         self._analysis: AffineAnalysis | None = None
-        self._uniformity: Uniformity | None = None
-        self._linear: LinearValues | None = None
+        self._symbolic: SymbolicKernel | None = None
 
     @property
     def analysis(self) -> AffineAnalysis:
@@ -61,29 +76,48 @@ class LintContext:
         return self.analysis.reaching
 
     @property
-    def uniformity(self) -> Uniformity:
-        if self._uniformity is None:
-            self._uniformity = Uniformity(self.kernel, self.analysis)
-        return self._uniformity
+    def symbolic(self) -> SymbolicKernel:
+        """The kernel's closed forms, built once and shared with the
+        certifier."""
+        if self._symbolic is None:
+            self._symbolic = symexec(self.kernel)
+        return self._symbolic
 
-    @property
-    def linear(self) -> LinearValues:
-        if self._linear is None:
-            bindings = {}
-            if self.launch is not None:
-                bindings = geometry_bindings(self.launch.grid_dim,
-                                             self.launch.block_dim)
-            self._linear = LinearValues(self.kernel, self.reaching, bindings)
-        return self._linear
+    def varies(self, inst_index: int, op) -> bool | None:
+        """May operand ``op`` differ between the CTA's threads at this
+        instruction?  ``None`` when the instruction is unreachable."""
+        sym = self.symbolic
+        if sym.env_at[inst_index] is None:
+            return None
+        if isinstance(op, PredReg):
+            return sym.thread_varying(sym.pred_at(inst_index, op.name))
+        return sym.thread_varying(sym.value_at(inst_index, op))
+
+    def divergent_branch(self, branch: int) -> bool | None:
+        """:meth:`varies` for a branch's guard (unguarded: ``False``)."""
+        guard = self.kernel.instructions[branch].guard
+        return False if guard is None else self.varies(branch, guard)
 
     def divergent_context(self, inst_index: int) -> bool:
-        """Guarded, or control-dependent on a non-uniform branch — i.e. the
-        instruction may execute in only a subset of the CTA's threads."""
+        """Guarded, or control-dependent on a branch not proven
+        CTA-invariant — i.e. the instruction may execute in only a
+        subset of the CTA's threads."""
         inst = self.kernel.instructions[inst_index]
         if inst.guard is not None:
             return True
-        return any(not self.uniformity.branch_uniform(b)
+        return any(self.divergent_branch(b) is not False
                    for b in self.analysis.control_deps.get(inst_index, ()))
+
+    def address_form(self, inst_index: int
+                     ) -> tuple[float, dict[str, float]] | None:
+        """A memory instruction's byte address as ``(const, {symbol:
+        coeff})`` with the launch geometry folded in; ``None`` when it is
+        not linear or the instruction is unreachable."""
+        ref = self.kernel.instructions[inst_index].mem_ref()
+        sym = self.symbolic
+        if not isinstance(ref, MemRef) or sym.env_at[inst_index] is None:
+            return None
+        return linear_form(sym.value_at(inst_index, ref), self.geometry)
 
 
 def _loc(kernel: Kernel, index: int) -> str:
@@ -254,15 +288,14 @@ def uninit_pass(ctx: LintContext) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 def barrier_pass(ctx: LintContext) -> list[Diagnostic]:
-    kernel = ctx.kernel
-    analysis, unif = ctx.analysis, ctx.uniformity
+    kernel, analysis = ctx.kernel, ctx.analysis
     diags = []
     for idx, inst in enumerate(kernel.instructions):
         if not inst.is_barrier:
             continue
         for branch in sorted(analysis.control_deps.get(idx, ())):
-            if unif.branch_uniform(branch):
-                continue
+            if not ctx.divergent_branch(branch):
+                continue        # CTA-invariant guard, or unreachable
             kind = analysis.branch_kind(branch)
             where = _loc(kernel, branch)
             if kind == "affine":
@@ -316,6 +349,28 @@ def _barrier_free_path(ctx: LintContext, i: int, j: int) -> bool:
     return False
 
 
+def _global_thread_form(form: tuple[float, dict[str, float]],
+                        block_dim_x: int) -> tuple | None:
+    """Split an address form into ``stride * gtid_x + offset + params``.
+
+    Requires the ``ctaid.x`` coefficient to equal ``ntid.x`` times the
+    ``tid.x`` coefficient (the canonical ``ctaid*ntid + tid`` flattening)
+    and no other thread-geometry symbol.  Returns ``(stride, offset,
+    param terms)`` or ``None`` when the form does not fit."""
+    offset, coeffs = form
+    stride = coeffs.get("tid.x", 0.0)
+    if coeffs.get("ctaid.x", 0.0) != stride * block_dim_x:
+        return None
+    params = []
+    for sym, c in coeffs.items():
+        if sym in ("tid.x", "ctaid.x"):
+            continue
+        if not sym.startswith("param:"):
+            return None      # y/z geometry left over
+        params.append((sym, c))
+    return stride, offset, tuple(sorted(params))
+
+
 def race_pass(ctx: LintContext) -> list[Diagnostic]:
     launch = ctx.launch
     if launch is None:
@@ -324,28 +379,26 @@ def race_pass(ctx: LintContext) -> list[Diagnostic]:
     total_threads = launch.threads_per_block * launch.num_blocks
     if total_threads <= 1:
         return []
-    lin, unif = ctx.linear, ctx.uniformity
     diags = []
 
-    accesses = []       # (idx, inst, stride, rest: Linear)
+    accesses = []       # (idx, inst, stride, offset, param terms)
     for idx, inst in enumerate(kernel.instructions):
         if not inst.is_memory:
             continue
-        addr = lin.address_value(idx)
-        if addr is TOP:
-            continue
-        form = global_thread_form(addr, launch.block_dim[0])
+        form = ctx.address_form(idx)
         if form is None:
             continue
-        accesses.append((idx, inst) + form)
+        split = _global_thread_form(form, launch.block_dim[0])
+        if split is not None:
+            accesses.append((idx, inst) + split)
 
     # RPL021: every thread stores a thread-varying value to one location.
-    for idx, inst, stride, _rest in accesses:
+    for idx, inst, stride, _offset, _params in accesses:
         if inst.opcode is not Opcode.ST or stride != 0:
             continue
         if ctx.divergent_context(idx):
             continue        # a mask may single out one thread
-        if unif.use_uniform(idx, inst.srcs[0]):
+        if not ctx.varies(idx, inst.srcs[0]):
             continue        # uniform broadcast: rendezvous is benign
         diags.append(make_diagnostic(
             "RPL021", f"all {total_threads} threads store a "
@@ -356,9 +409,9 @@ def race_pass(ctx: LintContext) -> list[Diagnostic]:
     # in between (equal non-zero stride, same symbolic base, constant
     # offset delta that is a whole number of elements).
     for a in range(len(accesses)):
-        i, inst_i, s_i, rest_i = accesses[a]
+        i, inst_i, s_i, off_i, params_i = accesses[a]
         for b in range(a + 1, len(accesses)):
-            j, inst_j, s_j, rest_j = accesses[b]
+            j, inst_j, s_j, off_j, params_j = accesses[b]
             if not (inst_i.is_store or inst_j.is_store):
                 continue
             if inst_i.opcode is Opcode.ATOM and \
@@ -368,9 +421,9 @@ def race_pass(ctx: LintContext) -> list[Diagnostic]:
                 continue
             if s_i != s_j or s_i == 0:
                 continue
-            if rest_i.terms != rest_j.terms:
+            if params_i != params_j:
                 continue        # different symbolic base arrays
-            delta = rest_j.const - rest_i.const
+            delta = off_j - off_i
             if delta == 0 or delta % s_i:
                 continue        # same thread, or never aliasing
             if abs(delta / s_i) >= total_threads:
@@ -507,41 +560,41 @@ def queue_pass(program: DecoupledProgram,
 
 
 # ---------------------------------------------------------------------------
-# Pass 6: value-range / bounds analysis (RPL041 / RPL042)
+# Pass 6: address bounds (RPL041 / RPL042)
 # ---------------------------------------------------------------------------
 
 def bounds_pass(ctx: LintContext) -> list[Diagnostic]:
     launch = ctx.launch
     if launch is None:
         return []
-    kernel, lin = ctx.kernel, ctx.linear
-    spans = thread_spans(launch.grid_dim, launch.block_dim)
-    bindings = {f"param:{name}": float(value)
-                for name, value in launch.params.items()}
+    kernel, spans = ctx.kernel, ctx.spans
     memory = launch.memory
     allocations = getattr(memory, "allocations", {})
     diags = []
     for idx, inst in enumerate(kernel.instructions):
         if not inst.is_memory or inst.space is MemSpace.SHARED:
             continue
-        addr = lin.address_value(idx)
-        if addr is TOP:
+        form = ctx.address_form(idx)
+        if form is None:
             continue
         if ctx.divergent_context(idx):
             continue        # a guard may clip the executed range
-        param_terms = [(s, c) for s, c in addr.terms
-                       if s.startswith("param:")]
-        numeric = addr.substitute(bindings)
-        interval = numeric.interval(spans)
-        if interval is None:
+        offset, coeffs = form
+        if any(sym not in spans for sym in coeffs):
             continue
-        lo, hi = interval
+        lo = hi = offset
+        for sym, c in coeffs.items():
+            s_lo, s_hi = spans[sym]
+            lo += c * (s_lo if c >= 0 else s_hi)
+            hi += c * (s_hi if c >= 0 else s_lo)
         if lo < 0 or hi + WORD > memory.size_bytes:
             diags.append(make_diagnostic(
                 "RPL041", f"address range [{lo:g}, {hi + WORD - 1:g}] "
                 f"falls outside device memory "
                 f"(size {memory.size_bytes})", kernel, idx))
             continue
+        param_terms = [(sym, c) for sym, c in coeffs.items()
+                       if sym.startswith("param:")]
         if len(param_terms) == 1 and param_terms[0][1] == 1.0:
             pname = param_terms[0][0][len("param:"):]
             base = float(launch.params[pname])

@@ -391,9 +391,75 @@ def symbols_of(x) -> set[str]:
     return out
 
 
-def is_divergent(x) -> bool:
-    """Does the closed form depend on the lane (thread) index?"""
-    return any(s.startswith("tid.") for s in symbols_of(x))
+#: ``opaque`` placeholders that stand for a value of one loop, whose head
+#: label is their second argument: a register or predicate that defeated
+#: widening, the iteration a mid-loop break leaves at, an unbounded count.
+LOOP_PLACEHOLDERS = frozenset({"loop", "break", "infinite-loop"})
+
+
+def is_thread_varying(x, uniform_loops=frozenset()) -> bool:
+    """May two threads of one CTA see different values of the closed form?
+
+    Yes when it mentions a ``tid.*`` symbol, a ``deq`` atom (each thread
+    dequeues its own entry) or an ``opaque`` atom, whose arguments do not
+    record what the placeholder depends on.  A loop's placeholder is
+    exempt when the loop is in ``uniform_loops``
+    (:attr:`SymbolicKernel.uniform_loops`), and the formal negation
+    ``opaque("not", p)`` is exempt because ``p`` is walked in its own
+    right.  A ``load`` at a thread-invariant address is invariant, under
+    the no-race assumption the race pass checks separately."""
+    if any(s.startswith("tid.") for s in symbols_of(x)):
+        return True
+    for a in atoms_of(x):
+        if a.kind == "deq":
+            return True
+        if a.kind != "opaque" or a.args[0] == "not":
+            continue
+        if a.args[0] not in LOOP_PLACEHOLDERS \
+                or a.args[1] not in uniform_loops:
+            return True
+    return False
+
+
+def linear_form(expr: SymExpr, bindings: dict[str, float]
+                ) -> tuple[float, dict[str, float]] | None:
+    """The degree-<=1 fragment: ``expr`` as ``(const, {symbol: coeff})``
+    once the symbols in ``bindings`` (launch constants such as
+    ``ntid.x``) are replaced by their values.  ``None`` when a term keeps
+    a product of free symbols, a loop ``iter:`` symbol, or an atom other
+    than ``shl(x, k)`` of a linear ``x`` by a constant ``k``, which on the
+    integer addresses the passes reason about is ``x * 2**k``."""
+    offset = 0.0
+    coeffs: dict[str, float] = {}
+    for mono, coeff in expr.terms:
+        if len(mono) == 1 and isinstance(mono[0], Atom):
+            atom = mono[0]
+            k = atom.args[1] if atom.kind == "shl" else None
+            if k is None or not k.is_const or k.const_value not in range(64):
+                return None
+            inner = linear_form(atom.args[0], bindings)
+            if inner is None:
+                return None
+            coeff *= 2.0 ** k.const_value
+            offset += coeff * inner[0]
+            for s, c in inner[1].items():
+                coeffs[s] = coeffs.get(s, 0.0) + coeff * c
+            continue
+        free = []
+        for s in mono:
+            if isinstance(s, Atom) or s.startswith("iter:"):
+                return None
+            if s in bindings:
+                coeff *= bindings[s]
+            else:
+                free.append(s)
+        if len(free) > 1:
+            return None
+        if free:
+            coeffs[free[0]] = coeffs.get(free[0], 0.0) + coeff
+        else:
+            offset += coeff
+    return offset, {s: c for s, c in coeffs.items() if c != 0.0}
 
 
 def subst(x, name: str, repl: SymExpr):
@@ -458,6 +524,8 @@ class LoopInfo:
     sym: str = ""                   # "iter:<name>"
     cond: Pred | None = None        # canonical continue condition
     trip: SymExpr | None = None     # closed-form trip count
+    #: (regs, preds) joined over the entry edges
+    entry: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.sym:
@@ -517,6 +585,8 @@ class SymbolicKernel:
     sites: dict[int, Site]
     env_at: list                    # per-instruction (regs, preds) or None
     reachable: set = field(default_factory=set)
+    _uniform_loops: frozenset | None = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def value_at(self, index: int, operand) -> SymExpr:
         env = self.env_at[index]
@@ -529,6 +599,45 @@ class SymbolicKernel:
         if env is None:
             raise ValueError(f"instruction {index} is unreachable")
         return env[1].get(name, FALSE)
+
+    def thread_varying(self, x) -> bool:
+        """:func:`is_thread_varying` over :attr:`uniform_loops`."""
+        return is_thread_varying(x) and \
+            is_thread_varying(x, self.uniform_loops)
+
+    @property
+    def uniform_loops(self) -> frozenset:
+        """Loops every thread of a CTA runs alike, so that their
+        ``opaque`` placeholders are CTA-invariant: no register the body
+        touches enters thread-varying, and no reachable body instruction
+        reads a thread-varying operand or guard.  A greatest fixpoint,
+        since a body may read its own and nested loops' placeholders."""
+        if self._uniform_loops is None:
+            uniform, kept = None, frozenset(self.loops)
+            while kept != uniform:
+                uniform = kept
+                kept = frozenset(n for n in uniform if not
+                                 self._loop_varies(self.loops[n], uniform))
+            self._uniform_loops = uniform
+        return self._uniform_loops
+
+    def _loop_varies(self, loop: LoopInfo, uniform: frozenset) -> bool:
+        insts, blocks = self.kernel.instructions, self.cfg.blocks
+        body = [i for b in loop.body
+                for i in range(blocks[b].start, blocks[b].end)]
+        touched = {r.name for i in body
+                   for r in insts[i].read_regs() + insts[i].written_regs()}
+        forms = [form for env in loop.entry or ()
+                 for name, form in env.items() if name in touched]
+        for i in body:
+            if self.env_at[i] is not None:
+                state = _State(*self.env_at[i])
+                forms.append(_guard_of(state, insts[i]))
+                forms += [state.preds.get(op.name, FALSE)
+                          if isinstance(op, PredReg)
+                          else _operand_value(state, op, i)
+                          for op in insts[i].reads()]
+        return any(is_thread_varying(f, uniform) for f in forms)
 
 
 # ---------------------------------------------------------------------------
@@ -1188,6 +1297,8 @@ class _Evaluator:
                     Pred("merge", (tuple(ordered),))
                 L.trip = self._count_true(L, L.cond) + \
                     (ONE if tail_exit else ZERO)
+            base = self._entry_state.get(L.head)
+            L.entry = None if base is None else (base.regs, base.preds)
             loops[L.name] = L
         return SymbolicKernel(kernel=self.kernel, cfg=self.cfg,
                               loops=loops, sites=sites, env_at=env_at,

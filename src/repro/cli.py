@@ -685,11 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--no-history", action="store_true",
                       help="skip appending this run to "
                            "BENCH_history.jsonl")
-    perf.add_argument("--profile", action="store_true",
-                      help="additionally cProfile one rep per cell and "
-                           "write a top-25-cumulative report (with the "
-                           "timing-loop vs issue-path own-time split) next "
-                           "to the bench JSON")
     perf.set_defaults(func=_cmd_perf)
 
     lint = sub.add_parser(

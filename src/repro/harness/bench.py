@@ -311,86 +311,6 @@ def bench_report(payload: dict) -> str:
     return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# cProfile support (``repro perf --profile``)
-
-#: Functions charged to the *timing loop* (the scheduler walk and the GPU
-#: cycle loop) when splitting a profile; everything under ``SM.issue`` is
-#: the issue path (decode dispatch, ALU/memory models, stats).
-_TIMING_LOOP_FILES = ("sim/scheduler.py",)
-_TIMING_LOOP_FUNCS = (("sim/gpu.py", "run"), ("events.py", "run_until"),
-                      ("sim/sm.py", "cycle"), ("sim/sm.py", "try_issue"))
-
-
-def profile_cell(abbr: str, technique: str, scale: str,
-                 config: GPUConfig | None = None):
-    """cProfile one simulation of a cell; returns ``(profiler, split)``
-    where ``split`` apportions own-time between the timing loop (the
-    scheduler walk) and everything else — the issue-path share is what
-    bounds any timing-loop speedup (Amdahl)."""
-    import cProfile
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    run_cell(abbr, technique, scale, config)
-    profiler.disable()
-    import pstats
-
-    total = 0.0
-    timing = 0.0
-    issue_below = 0.0
-    stats = pstats.Stats(profiler)
-    for (filename, _line, func), (_cc, _nc, tt, ct, _callers) \
-            in stats.stats.items():
-        total += tt
-        norm = filename.replace(os.sep, "/")
-        if norm.endswith(_TIMING_LOOP_FILES):
-            timing += tt
-        elif any(norm.endswith(f) and func == fn
-                 for f, fn in _TIMING_LOOP_FUNCS):
-            timing += tt
-        if norm.endswith("sim/sm.py") and func == "issue":
-            issue_below = max(issue_below, ct)
-    split = {
-        "total_seconds": total,
-        "timing_loop_seconds": timing,
-        "timing_loop_share": (timing / total) if total else 0.0,
-        "issue_and_below_seconds": issue_below,
-        "issue_and_below_share": (issue_below / total) if total else 0.0,
-    }
-    return profiler, split
-
-
-def profile_matrix(cells, config: GPUConfig | None = None,
-                   top: int = 25, progress=None) -> tuple[str, dict]:
-    """cProfile every cell once; returns ``(report_text, splits)`` with a
-    top-``top``-cumulative table per cell plus the timing-loop/issue-path
-    split (the evidence the perf verdicts are judged against)."""
-    import io
-    import pstats
-
-    sections = []
-    splits: dict = {}
-    for i, (abbr, technique, scale) in enumerate(cells):
-        name = golden_name(abbr, technique, scale)
-        profiler, split = profile_cell(abbr, technique, scale, config)
-        splits[name] = split
-        stream = io.StringIO()
-        pstats.Stats(profiler, stream=stream) \
-            .sort_stats("cumulative").print_stats(top)
-        sections.append(
-            f"==== {name} ====\n"
-            f"timing loop {split['timing_loop_seconds']:.3f}s "
-            f"({split['timing_loop_share']:.1%} of "
-            f"{split['total_seconds']:.3f}s own-time) | "
-            f"issue-and-below {split['issue_and_below_seconds']:.3f}s "
-            f"cumulative ({split['issue_and_below_share']:.1%})\n\n"
-            + stream.getvalue())
-        if progress is not None:
-            progress(i + 1, len(cells), name, split)
-    return "\n".join(sections), splits
-
-
 def merge_history_from_bench_files(root: str | None = None,
                                    history_path: str | None = None) -> int:
     """Backfill ``BENCH_history.jsonl`` from committed ``BENCH_<n>.json``
@@ -486,26 +406,6 @@ def main_perf(args) -> int:
             file=sys.stderr))
     print(bench_report(payload))
     out = args.out or default_bench_path()
-    if getattr(args, "profile", False):
-        cells = GOLDEN_MATRIX if args.quick else GOLDEN_MATRIX + BENCH_MATRIX
-        config = experiment_config()
-        print("profiling each cell (one extra profiled rep)...",
-              file=sys.stderr)
-        text, splits = profile_matrix(
-            cells, config,
-            progress=lambda done, total, name, split: print(
-                f"  [{done}/{total}] {name}: timing loop "
-                f"{split['timing_loop_share']:.1%} of "
-                f"{split['total_seconds']:.3f}s", file=sys.stderr))
-        profile_path = os.path.splitext(out)[0] + "_profile.txt"
-        with open(profile_path, "w") as handle:
-            handle.write(text)
-        payload["profile"] = {"report_file": os.path.basename(profile_path),
-                              "cells": splits}
-        shares = [split["timing_loop_share"] for split in splits.values()]
-        print(f"profile report written to {profile_path} "
-              f"(timing-loop own-time share: mean "
-              f"{sum(shares) / max(1, len(shares)):.1%})")
     write_bench_json(payload, out)
     print(f"\nbench results written to {out}")
     if not getattr(args, "no_history", False):

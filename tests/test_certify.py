@@ -11,6 +11,7 @@ from repro.analysis.mutate import (
     MUTATORS,
     _synthetic_launch,
 )
+from repro.analysis.symexec import symexec
 from repro.compiler.decouple import decouple
 from repro.compiler.verifier import verify
 from repro.isa import parse_kernel
@@ -67,6 +68,16 @@ def test_missed_candidate_reports_rpl051():
     m = _mutant("slice_widen", program=program)
     report = certify_program(m.program)
     assert "RPL051" in report.codes()
+
+
+def test_shared_forms_must_come_from_the_original_kernel():
+    program = decouple(get("SP").launch("tiny").kernel)
+    other = symexec(get("BFS").launch("tiny").kernel)
+    with pytest.raises(ValueError):
+        certify_program(program, other)
+    shared = symexec(program.original)
+    assert certify_program(program, shared).render() == \
+        certify_program(program).render()
 
 
 def test_perturbed_coefficient_reports_rpl052():
