@@ -384,6 +384,10 @@ class AffineWarpHandle:
     """The single per-SM affine warp context; multiplexes the resident
     CTAs' affine streams, round-robin."""
 
+    #: Issue-slot attribution charges the affine warp to this slot id (the
+    #: tracer's ``AFFINE_SLOT``).
+    slot = -1
+
     def __init__(self) -> None:
         self.execs: list[AffineCTAExec] = []
         self._rr = 0

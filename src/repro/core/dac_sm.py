@@ -11,27 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..isa import DeqToken, Instruction, Opcode
+from ..isa import Instruction, Opcode
 from ..sim.launch import CTAState
 from ..sim.sm import SM
 from ..sim.warp import WarpContext
 from .affine_warp import AffineCTAExec, AffineWarpHandle
 from .expansion import AddressExpansionUnit, PredicateExpansionUnit
 from .queues import ATQ, PerWarpQueue
-
-
-def _deq_token(inst: Instruction) -> DeqToken | None:
-    for op in inst.srcs + inst.dsts:
-        if isinstance(op, DeqToken):
-            return op
-    if isinstance(inst.guard, DeqToken):
-        return inst.guard
-    return None
-
-
-def _deq_kind(inst: Instruction) -> str | None:
-    token = _deq_token(inst)
-    return token.kind if token is not None else None
 
 
 class DACSM(SM):
@@ -147,52 +133,27 @@ class DACSM(SM):
 
     def try_issue(self, warp, now: int, scheduler) -> int:
         if warp is self.affine_handle:
-            return self._try_issue_affine(now)
+            return self._try_issue_affine(now, scheduler)
         if isinstance(warp, WarpContext) and not warp.done \
                 and not warp.at_barrier:
             decoded = warp.code[warp.pc]
             if decoded.deq_token is not None:
                 if not warp.scoreboard_ready(decoded):
+                    scheduler.reject = ("memory" if warp.mem_pending
+                                        else "scoreboard")
                     return 0
                 return self._try_issue_deq(warp, decoded, now, scheduler)
         return super().try_issue(warp, now, scheduler)
 
-    # ---- stall diagnosis (tracing only; must not mutate) ---------------
-
-    def diagnose_warp(self, warp, now: int) -> str | None:
-        if warp is self.affine_handle:
-            # The affine warp only blocks on ATQ space for an enqueue
-            # (``ready`` is unconditionally True for everything else).
-            for exec_ in self.affine_handle.execs:
-                if exec_.current_instruction() is not None:
-                    return "queue_full"
-            return None
-        if isinstance(warp, WarpContext) and not warp.done \
-                and not warp.at_barrier:
-            inst = warp.launch.kernel.instructions[warp.pc]
-            kind = _deq_kind(inst)
-            if kind is not None:
-                if not warp.regs_ready(inst):
-                    return "memory" if warp.mem_pending else "scoreboard"
-                if kind == "pred":
-                    if warp.pwpq.head() is None:
-                        return "queue_empty"
-                    return "other"
-                record = warp.pwaq.head()
-                if record is None:
-                    return "queue_empty"
-                if kind == "data" and record.fills_remaining > 0:
-                    return "memory"          # expanded, data not yet in L1
-                if now < self.lsu_free:
-                    return "memory"
-                return "other"
-        return super().diagnose_warp(warp, now)
-
     # ---- affine warp issue ----------------------------------------------
 
-    def _try_issue_affine(self, now: int) -> int:
+    def _try_issue_affine(self, now: int, scheduler) -> int:
         exec_ = self.affine_handle.pick_ready(now)
         if exec_ is None:
+            # ``ready`` only refuses a live stream an enqueue without ATQ
+            # space; with every stream done the affine warp is idle.
+            if any(not e.done for e in self.affine_handle.execs):
+                scheduler.reject = "queue_full"
             return 0
         decoded = exec_.code[exec_.stack.pc]
         inst = decoded.inst
@@ -243,6 +204,7 @@ class DACSM(SM):
             record = warp.pwpq.head()
             if record is None:
                 scheduler.note_stall("dac.stall_pred_record")
+                scheduler.reject = "queue_empty"
                 return 0
             if self.checkers.enabled:
                 self.checkers.check_dequeue(self, warp, token, record)
@@ -269,6 +231,7 @@ class DACSM(SM):
         record = warp.pwaq.head()
         if record is None:
             scheduler.note_stall("dac.stall_no_record")
+            scheduler.reject = "queue_empty"
             return 0
         if self.checkers.enabled:
             self.checkers.check_dequeue(self, warp, token, record)
@@ -279,8 +242,10 @@ class DACSM(SM):
         if kind == "data":
             if record.fills_remaining > 0:
                 scheduler.note_stall("dac.stall_fill")
+                scheduler.reject = "memory"
                 return 0                       # data not yet in L1 (Fig. 9 ⑨)
             if now < self.lsu_free:
+                scheduler.reject = "memory"
                 return 0
             warp.pwaq.pop()
             self.stats.add("dac.lead_cycles", now - record.fill_time)
@@ -288,6 +253,7 @@ class DACSM(SM):
             self._finish_deq_load(warp, inst, record, mask, now)
         else:
             if now < self.lsu_free:
+                scheduler.reject = "memory"
                 return 0
             warp.pwaq.pop()
             self._finish_deq_store(warp, inst, record, mask, now)

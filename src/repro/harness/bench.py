@@ -87,6 +87,15 @@ def load_golden(name: str) -> dict | None:
         return json.load(handle)
 
 
+def traced_golden_view(result: RunResult) -> dict:
+    """The traced golden's counters: Stats plus the run's issue-slot
+    attribution as ``issue.<reason>``."""
+    view = result.stats.as_dict()
+    for reason, cycles in result.extra["stalls"].items():
+        view[f"issue.{reason}"] = float(cycles)
+    return dict(sorted(view.items()))
+
+
 def next_bench_index(root: str | None = None) -> int:
     """The next free ``BENCH_<n>.json`` index at the repo root.
 

@@ -48,7 +48,7 @@ from ..sim.launch import KernelLaunch
 from ..stats import Stats
 
 #: Bump to invalidate every existing cache entry without a version change.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
 def default_cache_dir() -> Path:

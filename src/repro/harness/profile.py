@@ -28,7 +28,7 @@ class Profile:
     dac_lead_cycles: float         # mean fill-to-dequeue slack
     mta_accuracy: float            # useful / issued prefetches
     stall_breakdown: dict = field(default_factory=dict)
-    # per-slot attribution shares (traced runs only; sums to 1.0)
+    # issue-slot attribution shares (sums to 1.0)
 
     def report(self) -> str:
         rows = [
@@ -75,7 +75,7 @@ def profile(result: RunResult) -> Profile:
     deqs = s["dac.deq_loads"]
     all_load_lines = s["dac.affine_load_lines"] + s["gmem_load_lines"]
     prefetches = s["mta.prefetches"]
-    buckets = stall_buckets(s)
+    buckets = stall_buckets(result)
     slot_total = sum(buckets.values())
     breakdown = {reason: cyc / slot_total
                  for reason, cyc in buckets.items()} if slot_total else {}

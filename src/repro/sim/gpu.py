@@ -12,7 +12,7 @@ from ..faults import NULL_CHECKERS, NULL_FAULTS
 from ..memory.coalescer import CoalesceCache
 from ..memory.hierarchy import MemoryHierarchy
 from ..stats import Stats
-from ..trace.tracer import NULL_TRACER
+from ..trace.tracer import NULL_TRACER, STALL_REASONS
 from .launch import KernelLaunch
 from .sm import SM
 
@@ -28,7 +28,7 @@ class SimulationHang(DeadlockError):
 
     Beyond the message, the exception carries machine-readable state so the
     harness and the fault campaign can classify hangs without parsing text:
-    the PR-2 stall attribution of every scheduler at the moment of death,
+    the stall reason every scheduler recorded at the moment of death,
     DAC queue occupancies, the cycle of the last issued instruction, and a
     per-warp state table.
     """
@@ -207,9 +207,9 @@ class GPU:
                 break
             if now >= self.config.max_cycles:
                 raise self._hang("max_cycles", now)
+            if trace:
+                tracer.sample(now, self.sms)
             if issued:
-                if trace:
-                    tracer.commit(now, 1, self.sms)
                 self._last_progress = now
                 now += 1
                 idle_streak = 0
@@ -235,18 +235,13 @@ class GPU:
                 idle_streak += 1
                 if idle_streak > 4:
                     raise self._hang("no_progress", now)
-                if trace:
-                    tracer.commit(now, 1, self.sms)
                 now += 1
                 continue
             idle_streak = 0
             # The skipped cycles are provably quiescent (no event fires, no
-            # scheduler frees up), so the tracer attributes them in bulk to
-            # the state recorded at ``now``.
-            nxt = min(candidates)
-            if trace:
-                tracer.commit(now, nxt - now, self.sms)
-            now = nxt
+            # scheduler frees up): each scheduler's recorded reason holds
+            # over them, and its running interval simply grows.
+            now = min(candidates)
 
         # Drain in-flight writes/events so the memory stats are complete
         # (does not extend the reported cycle count).
@@ -254,22 +249,29 @@ class GPU:
             self.events.run_until(self.events.next_time())
 
         self.stats.add("cycles", now)
+        stalls = dict.fromkeys(STALL_REASONS, 0)
+        for sm in self.sms:
+            for scheduler in sm.schedulers:
+                scheduler.close(now)
+                for reason, cyc in scheduler.stalls.items():
+                    stalls[reason] += cyc
         if trace:
-            tracer.finalize(self.stats, now, self.config)
+            tracer.finalize(now, self.config)
         return RunResult(cycles=now, stats=self.stats, config=self.config,
-                         kernel_name=launch.kernel.name)
+                         kernel_name=launch.kernel.name,
+                         extra={"stalls": {reason: cyc for reason, cyc
+                                           in stalls.items() if cyc}})
 
     def _hang(self, reason: str, now: int) -> SimulationHang:
-        """The structured report for either hang path: per-scheduler stall
-        attribution (the read-only PR-2 diagnosis), DAC queue occupancies,
-        and a per-warp state table."""
+        """The structured report for either hang path: the reason each
+        scheduler with warps recorded at its last tick, DAC queue
+        occupancies, and a per-warp state table."""
         stalls: dict[str, int] = {}
         for sm in self.sms:
             for scheduler in sm.schedulers:
-                if not scheduler.warps:
-                    continue
-                why, _slot = sm.diagnose_stall(scheduler, now)
-                stalls[why] = stalls.get(why, 0) + 1
+                if scheduler.warps:
+                    why = scheduler.reason
+                    stalls[why] = stalls.get(why, 0) + 1
         occupancy: dict[int, dict[str, int]] = {}
         for sm in self.sms:
             if not hasattr(sm, "atq_mem"):

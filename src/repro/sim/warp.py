@@ -88,20 +88,9 @@ class WarpContext:
         if sched is not None:
             sched._asleep = False
 
-    def regs_ready(self, inst) -> bool:
-        pending = self.pending
-        if not pending:
-            return True
-        for op in inst.read_regs():
-            if pending.get(op.name, 0):
-                return False
-        for op in inst.written_regs():
-            if pending.get(op.name, 0):
-                return False
-        return True
-
     def scoreboard_ready(self, decoded) -> bool:
-        """Fast-path ``regs_ready`` over the precomputed name tuple."""
+        """No pending write to any register the instruction reads or
+        writes (``decoded.scoreboard``)."""
         pending = self.pending
         if not pending:
             return True

@@ -1,9 +1,12 @@
 """Cycle-level observability: structured event tracing, stall attribution,
 queue-occupancy sampling, and Chrome-trace / CSV export.
 
-Tracing is off by default: every GPU carries a :data:`NULL_TRACER` whose
-``enabled`` flag gates all instrumentation, so untraced (and cached /
-parallel) runs pay nothing and produce bit-identical Stats.  Pass a
+Every run carries its issue-slot attribution in ``result.extra["stalls"]``
+(:func:`stall_buckets`, :func:`stall_report`); tracing adds the per-warp
+breakdown and the event timelines.  Tracing is off by default: every GPU
+carries a :data:`NULL_TRACER` whose ``enabled`` flag gates all
+instrumentation, so untraced (and cached / parallel) runs pay nothing, and
+traced runs produce bit-identical Stats.  Pass a
 :class:`Tracer` to :func:`repro.sim.gpu.simulate`, :func:`repro.core.run_dac`,
 or ``run_one(..., trace=...)`` to record a run, then export it::
 

@@ -1,20 +1,22 @@
 """Structured cycle-level event tracer.
 
 The tracer is a passive observer: simulation components emit events into it
-(guarded by ``tracer.enabled`` so the untraced fast path stays untouched),
-and the GPU main loop *commits* one attribution record per scheduler per
-simulated cycle.  Because the main loop fast-forwards over cycles in which
-nothing can change, a commit carries a ``delta`` — the number of cycles the
-recorded per-scheduler state was in force — which keeps tracing exact
-without forcing cycle-by-cycle simulation.
+(guarded by ``tracer.enabled`` so the untraced path skips event
+construction), and the GPU main loop asks it to sample queue occupancy
+after each executed cycle.
 
-Two invariants make the data trustworthy:
+Issue-slot attribution is not the tracer's job: every run carries it in
+``result.extra["stalls"]``, accrued by the schedulers on the one scheduler
+path.  The tracer refines it.  Each time a scheduler closes an attribution
+interval it calls :meth:`Tracer.slot_interval`, which adds the interval to
+the per-warp buckets (``warp_stalls``) and to the scheduler's Chrome slot
+timeline.  Two invariants make the data trustworthy:
 
-* every (SM, scheduler, cycle) slot is attributed to exactly one bucket
-  (``issued``, ``busy``, or a stall reason), so the buckets sum to
+* every (SM, scheduler, cycle) slot is attributed to exactly one bucket, so
+  both ``extra["stalls"]`` and ``warp_stalls`` sum to
   ``cycles x num_sms x num_schedulers``;
 * the tracer never mutates simulator state, so a traced run is cycle-exact
-  with an untraced one.
+  with an untraced one, Stats and ``extra["stalls"]`` included.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from collections import Counter
 
 #: Every attribution bucket a scheduler slot can land in.  ``issued`` is the
 #: cycle an instruction left the scheduler; ``busy`` is the tail of a
-#: multi-cycle issue window; the rest are stall reasons; ``other`` is a
-#: defensive catch-all for a diagnosis that disagrees with the issue logic.
+#: multi-cycle issue window; ``idle`` means no live warp to walk; the rest
+#: are the reasons ``try_issue`` rejected the head-of-line warp.
 STALL_REASONS = (
     "issued", "busy", "scoreboard", "memory", "barrier",
-    "queue_empty", "queue_full", "idle", "other",
+    "queue_empty", "queue_full", "idle",
 )
 
 #: Synthetic warp-slot id used for the DAC affine warp in issue events.
@@ -83,10 +85,13 @@ class NullTracer:
     def cta_retire(self, now, sm, block_idx):
         pass
 
-    def commit(self, now, delta, sms):
+    def slot_interval(self, sm, sched, slot, reason, start, end):
         pass
 
-    def finalize(self, stats, cycles, config):
+    def sample(self, now, sms):
+        pass
+
+    def finalize(self, cycles, config):
         pass
 
 
@@ -98,12 +103,12 @@ class Tracer(NullTracer):
 
     Events are stored as flat tuples ``(kind, ts, sm, tid, name, args)`` —
     cheap to append, interpreted by the exporters.  ``samples`` holds the
-    queue-occupancy time series; ``stall_cycles``/``warp_stalls`` hold the
-    committed attribution buckets.
+    queue-occupancy time series; ``warp_stalls`` holds the per-warp-slot
+    attribution buckets.
     """
 
     enabled = True
-    __slots__ = ("events", "samples", "stall_cycles", "warp_stalls",
+    __slots__ = ("events", "samples", "warp_stalls",
                  "sample_interval", "trace_memory", "_next_sample",
                  "_segments", "cycles", "issue_slots")
 
@@ -112,7 +117,6 @@ class Tracer(NullTracer):
         self.events: list[tuple] = []
         self.samples: list[tuple] = []       # (cycle, sm, atq, pwaq, pwpq,
         #                                       runahead)
-        self.stall_cycles: Counter = Counter()
         self.warp_stalls: Counter = Counter()    # (sm, slot, reason) -> cyc
         self.sample_interval = max(1, int(sample_interval))
         self.trace_memory = trace_memory
@@ -178,30 +182,25 @@ class Tracer(NullTracer):
         self.events.append(("cta", now, sm, 0, "cta.retire",
                             {"block": tuple(block_idx)}))
 
-    # ---- per-cycle commit (called only from the GPU main loop) ----------
+    # ---- attribution and sampling (called from the scheduler / main loop)
 
-    def commit(self, now, delta, sms):
-        """Attribute the just-simulated cycle (and the ``delta - 1``
-        fast-forwarded cycles whose state is provably identical) to each
-        scheduler's recorded reason, and sample queue occupancy."""
-        stall_cycles = self.stall_cycles
-        warp_stalls = self.warp_stalls
-        segments = self._segments
-        for sm in sms:
-            for sched in sm.schedulers:
-                reason = sched.stall_reason
-                stall_cycles[reason] += delta
-                warp_stalls[(sm.index, sched.stall_slot, reason)] += delta
-                key = (sm.index, sched.index)
-                seg = segments.get(key)
-                if seg is None:
-                    segments[key] = [reason, now]
-                elif seg[0] != reason:
-                    self.events.append(("slot", seg[1], sm.index,
-                                        sched.index, seg[0],
-                                        {"dur": now - seg[1]}))
-                    seg[0] = reason
-                    seg[1] = now
+    def slot_interval(self, sm, sched, slot, reason, start, end):
+        """Scheduler ``sched`` of SM ``sm`` spent cycles ``[start, end)`` on
+        ``reason``, charged to warp ``slot``: add them to the per-warp
+        buckets and extend (or cut) the scheduler's timeline segment."""
+        self.warp_stalls[(sm, slot, reason)] += end - start
+        key = (sm, sched)
+        seg = self._segments.get(key)
+        if seg is None:
+            self._segments[key] = [reason, start]
+        elif seg[0] != reason:
+            self.events.append(("slot", seg[1], sm, sched, seg[0],
+                                {"dur": start - seg[1]}))
+            seg[0] = reason
+            seg[1] = start
+
+    def sample(self, now, sms):
+        """Sample queue occupancy once every ``sample_interval`` cycles."""
         if now >= self._next_sample:
             self._sample(now, sms)
             self._next_sample = now + self.sample_interval
@@ -228,15 +227,12 @@ class Tracer(NullTracer):
 
     # ---- end of run -----------------------------------------------------
 
-    def finalize(self, stats, cycles, config):
-        """Flush open timeline segments and surface the attribution buckets
-        as ``issue.*`` counters (only traced runs carry them)."""
+    def finalize(self, cycles, config):
+        """Flush the open timeline segments (the schedulers closed their
+        last intervals at ``cycles``)."""
         for (sm, sched), (reason, start) in sorted(self._segments.items()):
-            if cycles > start:
-                self.events.append(("slot", start, sm, sched, reason,
-                                    {"dur": cycles - start}))
+            self.events.append(("slot", start, sm, sched, reason,
+                                {"dur": cycles - start}))
         self._segments.clear()
         self.cycles = cycles
         self.issue_slots = config.num_sms * config.num_schedulers
-        for reason, cyc in self.stall_cycles.items():
-            stats.add(f"issue.{reason}", cyc)

@@ -7,7 +7,9 @@ Run from the repo root::
 The JSON files written here pin the simulator's *timing semantics*: any
 core change that is supposed to be a pure optimization must reproduce
 every golden bit-for-bit (``tests/test_golden_stats.py`` and
-``python -m repro perf`` both assert this).  ``BENCH_baseline.json`` at
+``python -m repro perf`` both assert this).  ``stalls.json`` pins each
+cell's issue-slot attribution (``result.extra["stalls"]``), which stays
+out of Stats.  ``BENCH_baseline.json`` at
 the repo root additionally records the wall-clock *sample distribution*
 of the core at the moment the goldens were generated (every rep, not a
 single best-of number), so ``repro perf`` can run a Welch t-test against
@@ -33,7 +35,8 @@ from repro.faults import FaultInjector, FaultPlan, FaultSpec, \
     RuntimeCheckers                                          # noqa: E402
 from repro.harness import perfstats                          # noqa: E402
 from repro.harness.bench import BENCH_MATRIX, GOLDEN_MATRIX, \
-    FAULT_GOLDEN, TRACED_GOLDEN, golden_name, run_cell, time_cell  # noqa: E402
+    FAULT_GOLDEN, TRACED_GOLDEN, golden_name, run_cell, time_cell, \
+    traced_golden_view                                       # noqa: E402
 from repro.harness.runner import experiment_config           # noqa: E402
 
 #: Baseline reps: five samples give the t-test a real reference
@@ -45,11 +48,13 @@ def main(stats_only: bool = False,
          reps: int = DEFAULT_BASELINE_REPS) -> int:
     config = experiment_config()
     timings = {}
+    stalls = {}
     for abbr, technique, scale in sorted(set(GOLDEN_MATRIX + BENCH_MATRIX)):
         samples, result = time_cell(abbr, technique, scale, config,
                                     reps=1 if stats_only else reps)
         name = golden_name(abbr, technique, scale)
         _write(name, dict(sorted(result.stats.as_dict().items())))
+        stalls[name] = result.extra["stalls"]
         summary = perfstats.summarize(samples)
         timings[name] = {
             "samples": samples,
@@ -62,11 +67,13 @@ def main(stats_only: bool = False,
         print(f"  {name}: {result.cycles} cycles, "
               f"{summary.mean:.3f}s{spread} over {summary.n} rep(s)")
 
-    # Traced run: the stall-attribution buckets must survive too.
+    _write_json(os.path.join(HERE, "stalls.json"), stalls)
+
+    # Traced run: Stats plus its attribution buckets as ``issue.*``.
     abbr, technique, scale = TRACED_GOLDEN
     result = run_cell(abbr, technique, scale, config, trace=True)
     _write(f"traced_{golden_name(abbr, technique, scale)}",
-           dict(sorted(result.stats.as_dict().items())))
+           traced_golden_view(result))
 
     # Fault-injected run: deterministic timing-only faults.
     abbr, technique, scale = FAULT_GOLDEN
@@ -93,10 +100,13 @@ def main(stats_only: bool = False,
 
 
 def _write(name: str, stats: dict) -> None:
-    path = os.path.join(HERE, "stats", name + ".json")
+    _write_json(os.path.join(HERE, "stats", name + ".json"), stats)
+
+
+def _write_json(path: str, data: dict) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as handle:
-        json.dump(stats, handle, indent=1, sort_keys=True)
+        json.dump(data, handle, indent=1, sort_keys=True)
     print(f"  wrote {os.path.relpath(path, ROOT)}")
 
 

@@ -94,6 +94,7 @@ class TestDiskCache:
         assert loaded.stats.as_dict() == result.stats.as_dict()
         assert np.array_equal(loaded.extra["memory_words"],
                               result.extra["memory_words"])
+        assert loaded.extra["stalls"] == result.extra["stalls"]
         assert cache.hits == 1
 
     def test_missing_key_is_miss(self, tmp_path):
@@ -266,6 +267,7 @@ class TestSerialization:
         assert copy.config == result.config
         assert copy.stats.as_dict() == result.stats.as_dict()
         assert copy.extra["abbr"] == "LIB"
+        assert copy.extra["stalls"] == result.extra["stalls"]
         assert np.array_equal(copy.extra["memory_words"],
                               result.extra["memory_words"])
         # Non-JSON-able extras (the decoupled program) are dropped, not

@@ -38,6 +38,8 @@ def test_parallel_suite_bit_identical_to_serial():
             assert par[abbr][tech].cycles == serial[abbr][tech].cycles
             assert par[abbr][tech].stats.as_dict() == \
                 serial[abbr][tech].stats.as_dict()
+            assert par[abbr][tech].extra["stalls"] == \
+                serial[abbr][tech].extra["stalls"]
 
 
 def test_run_grid_installs_into_memo_cache(monkeypatch):
