@@ -155,3 +155,29 @@ def test_stats_invariant_under_removal_order_golden_cell(monkeypatch):
     monkeypatch.setattr(Scheduler, "remove_warp", _order_preserving_remove)
     kept = run_cell("SG", "dac", "tiny", cfg)
     _assert_same(swap, kept, "SG/dac/tiny order")
+
+
+# ---- issue-slot attribution ----------------------------------------------
+
+def test_issue_window_tail_is_idle_even_when_the_next_tick_issues():
+    """A scheduler loses its last warp inside an issue window and gets a
+    new one after the window has closed, with no tick in between.  The
+    span is busy up to ``busy_until`` and idle after it, even though the
+    tick that closes it issues and moves ``busy_until``."""
+    from types import SimpleNamespace
+
+    from repro.stats import Stats
+    from repro.trace import NULL_TRACER
+
+    sm = SimpleNamespace(tracer=NULL_TRACER, stats=Stats(), lsu_free=0,
+                         index=0, try_issue=lambda warp, now, sched: 2)
+    scheduler = Scheduler(sm, 0, "lrr", 2)
+    warp = SimpleNamespace(slot=0, sched=None)
+    scheduler.add_warp(warp)
+    assert scheduler.tick(0)                 # issued at 0, busy until 2
+    scheduler.remove_warp(warp)
+    assert not scheduler.tick(1)             # busy
+    scheduler.add_warp(warp)                 # no tick at 2, 3 or 4
+    assert scheduler.tick(5)
+    scheduler.close(6)
+    assert scheduler.stalls == {"issued": 2, "busy": 1, "idle": 3}
