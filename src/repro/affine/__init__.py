@@ -1,7 +1,7 @@
 """Affine tuple algebra, predicates, and the compiler type lattice."""
 
 from .lattice import OperandClass, join, leaf_class, result_class
-from .ops import apply_op, guarded_merge
+from .ops import apply_op
 from .predicates import AffinePredicate
 from .tuples import (
     AffineError,
@@ -16,6 +16,6 @@ from .tuples import (
 __all__ = [
     "AffineError", "AffineExpr", "AffinePredicate", "AffineTuple",
     "ClampExpr", "DivergentSet", "MAX_DIVERGENT_TUPLES", "OperandClass",
-    "apply_op", "guarded_merge", "join", "leaf_class", "result_class",
+    "apply_op", "join", "leaf_class", "result_class",
     "scalar",
 ]

@@ -14,7 +14,6 @@ from .tuples import (
     AffineExpr,
     AffineTuple,
     ClampExpr,
-    DivergentSet,
     _add,
     scalar,
 )
@@ -110,12 +109,3 @@ def apply_op(opcode: Opcode, args: list, cmp: CmpOp | None = None):
             return args[0] if pred.scalar_value else args[1]
         raise AffineError("selp with a non-scalar predicate is not decoupled")
     raise AffineError(f"opcode {opcode.value} is not affine-computable")
-
-
-def guarded_merge(alternatives: list[tuple[int | None, AffineExpr]]):
-    """Build a :class:`DivergentSet` from guarded reaching definitions
-    (§4.6), collapsing to the single expression when all agree."""
-    exprs = {str(e) for _, e in alternatives}
-    if len(exprs) == 1:
-        return alternatives[0][1]
-    return DivergentSet(tuple(alternatives))

@@ -49,10 +49,6 @@ class Severity(enum.Enum):
     WARNING = "warning"
     ERROR = "error"
 
-    @property
-    def rank(self) -> int:
-        return 0 if self is Severity.ERROR else 1
-
 
 #: Stable registry: code -> (default severity, short title).
 CODES: dict[str, tuple[Severity, str]] = {

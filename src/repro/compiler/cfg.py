@@ -109,28 +109,6 @@ class CFG:
             return len(self.kernel.instructions)
         return self.blocks[ipdom].start
 
-    def join_reconvergence(self, block_a: int, block_b: int) -> int:
-        """First instruction index where paths through two blocks must have
-        re-joined — the common post-dominator used by Divergent Affine
-        Analysis (Fig. 15 ①) to place DCRF saves."""
-        seen = set()
-        node = block_a
-        while node != self.EXIT:
-            seen.add(node)
-            node = self._ipdom.get(node, self.EXIT)
-        node = block_b
-        while node != self.EXIT:
-            if node in seen and node not in (block_a, block_b):
-                return self.blocks[node].start
-            node = self._ipdom.get(node, self.EXIT)
-        # Walk a's chain again including a/b themselves as last resort.
-        node = block_b
-        while node != self.EXIT:
-            if node in seen:
-                return self.blocks[node].start
-            node = self._ipdom.get(node, self.EXIT)
-        return len(self.kernel.instructions)
-
     # ---- traversal helpers ---------------------------------------------
 
     def reverse_postorder(self) -> list[int]:

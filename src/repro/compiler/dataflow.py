@@ -84,13 +84,6 @@ class ReachingDefs:
     def reaching(self, inst_index: int, reg_name: str) -> frozenset[int]:
         return self._at_entry[inst_index].get(reg_name, frozenset())
 
-    def source_defs(self, inst_index: int) -> dict[str, frozenset[int]]:
-        """Reaching definitions for every register the instruction reads
-        (guard included)."""
-        inst = self.kernel.instructions[inst_index]
-        return {op.name: self.reaching(inst_index, op.name)
-                for op in inst.read_regs()}
-
     def backward_slice(self, roots: set[int],
                        reg_filter=None) -> set[int]:
         """All definitions transitively feeding the register sources of the

@@ -10,6 +10,12 @@ trip ≈ 150, DRAM round trip ≈ 400+).
 keeps per-SM resources identical but runs ``n`` SMs with L2 and DRAM
 bandwidth scaled proportionally — used to keep Python-side experiment time
 reasonable (see DESIGN.md substitution table).
+
+Every field is read by some part of the model; ``tests/test_config_events.py``
+checks that.  Parts of Table 1 the model does not vary — 32 SIMT lanes, the
+128 KB register file (registers do not limit occupancy), CAE's two affine
+units, the DCRF (sized from ``stack_depth`` by the area model) — are not
+fields: ``table1()`` prints them as literals.
 """
 
 from __future__ import annotations
@@ -45,17 +51,8 @@ class DACConfig:
     pwaq_entries: int = 192          # Per-Warp Address Queue, total
     pwpq_entries: int = 192          # Per-Warp Predicate Queue, total
     stack_depth: int = 8             # Affine SIMT Stack depth
-    dcrf_entries: int = 8            # Divergent Condition Register File
     expansion_alus: int = 2          # one in the AEU, one in the PEU
     lock_lines: bool = True          # §4.2 L1 line locking (ablation knob)
-
-
-@dataclass(frozen=True)
-class CAEConfig:
-    """Compact Affine Execution baseline (Kim et al. [13]), provisioned with
-    2 affine units per SM as in paper §5.1.1."""
-
-    affine_units: int = 2
 
 
 @dataclass(frozen=True)
@@ -75,13 +72,10 @@ class GPUConfig:
     # SM organization.
     num_sms: int = 15
     warps_per_sm: int = 48
-    warp_size: int = 32
     num_schedulers: int = 2
     scheduler: str = "two_level"     # "two_level" or "lrr"
-    active_warps_per_scheduler: int = 8
     issue_interval: int = 2          # 32-thread warp over 16 lanes (§5.1.1)
     max_ctas_per_sm: int = 8
-    registers_per_sm: int = 32768    # 128 KB / 4 B
 
     # Functional unit latencies (cycles).
     alu_latency: int = 10
@@ -100,7 +94,6 @@ class GPUConfig:
     # Technique selection: "baseline", "dac", "cae", or "mta".
     technique: str = "baseline"
     dac: DACConfig = field(default_factory=DACConfig)
-    cae: CAEConfig = field(default_factory=CAEConfig)
     mta: MTAConfig = field(default_factory=MTAConfig)
 
     # Perfect-memory mode (used to classify benchmarks, §5.1.2).
@@ -120,7 +113,7 @@ class GPUConfig:
         path): rebuilds the nested sub-config dataclasses."""
         data = dict(data)
         nested = {"l1": CacheConfig, "l2": CacheConfig, "dram": DRAMConfig,
-                  "dac": DACConfig, "cae": CAEConfig, "mta": MTAConfig}
+                  "dac": DACConfig, "mta": MTAConfig}
         for name, sub_cls in nested.items():
             if name in data and isinstance(data[name], dict):
                 data[name] = sub_cls(**data[name])
@@ -155,8 +148,7 @@ class GPUConfig:
             "Baseline GPU",
             f"  GPU        Fermi (GTX480), {self.num_sms} SMs, "
             f"{self.warps_per_sm} warps/SM",
-            f"  SM         {self.warp_size} SIMT lanes, "
-            f"{self.registers_per_sm * 4 // 1024}KB register file",
+            "  SM         32 SIMT lanes, 128KB register file",
             f"  Scheduler  {self.num_schedulers} Schedulers/SM, "
             f"{'Two Level Active' if self.scheduler == 'two_level' else 'LRR'}",
             f"  L1         {self.l1.size_bytes // 1024} KB/SM, "
@@ -167,7 +159,7 @@ class GPUConfig:
             f"  Prefetch Buffer  {self.mta.buffer_bytes // 1024}KB/SM "
             "(in addition to the L1)",
             "Compact Affine Execution (CAE)",
-            f"  Affine Units     {self.cae.affine_units} per SM",
+            "  Affine Units     2 per SM",
             "Decoupled Affine Computation (DAC)",
             f"  ATQ (per SM)   {self.dac.atq_entries} Entries",
             f"  PWAQ (per SM)  {self.dac.pwaq_entries} Entries",

@@ -73,9 +73,6 @@ def run_dac(launch: KernelLaunch, config: GPUConfig,
         result = simulate(launch, config.with_technique("baseline"))
         result.stats.add("dac.fallbacks")
         result.extra["fallback_reason"] = f"{type(exc).__name__}: {exc}"
-        result.extra["program"] = program
-        return result
-    result.extra["program"] = program
     return result
 
 

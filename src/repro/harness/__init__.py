@@ -18,10 +18,6 @@ from .diskcache import (
     DiskCache,
     cache_key,
     default_cache_dir,
-    result_from_json,
-    result_from_json_dict,
-    result_to_json,
-    result_to_json_dict,
 )
 from .backoff import backoff_delay, backoff_schedule
 from .client import (
@@ -72,8 +68,7 @@ __all__ = [
     "fig16_report", "fig16_speedup", "fig17_instruction_counts",
     "fig18_coverage", "fig19_affine_loads", "fig20_mta_coverage",
     "fig21_energy", "fig21_report", "override", "profile",
-    "result_from_json", "result_from_json_dict", "result_to_json",
-    "result_to_json_dict", "run_benchmark", "run_grid", "run_launch",
+    "run_benchmark", "run_grid", "run_launch",
     "run_one", "run_suite", "simulate_launch", "summarize", "sweep",
     "t_critical", "to_csv", "to_json", "table2_classification",
     "verdict", "welch_t_test",

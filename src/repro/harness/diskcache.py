@@ -23,9 +23,9 @@ client and job journal use it too), and :func:`job_digest` — salted like
 :func:`cache_key` — is the one job identity of the journal and of
 ``run_grid(checkpoint=...)``.
 
-A JSON serialization of :class:`RunResult` is also provided for
-interchange with external tooling; it drops non-JSON-able ``extra``
-entries (notably the decoupled ``program``) but round-trips the numbers.
+A blob pickles the whole :class:`RunResult`: cycles, Stats, config and
+the ``extra`` payloads readers open (``memory_words``, ``stalls``, and
+``fallback_reason`` after a safe-mode fallback).
 """
 
 from __future__ import annotations
@@ -45,10 +45,9 @@ from .. import __version__
 from ..config import GPUConfig
 from ..sim.gpu import RunResult
 from ..sim.launch import KernelLaunch
-from ..stats import Stats
 
 #: Bump to invalidate every existing cache entry without a version change.
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 
 def default_cache_dir() -> Path:
@@ -111,55 +110,6 @@ def decode_result(blob: bytes) -> RunResult:
     if not isinstance(result, RunResult):
         raise ValueError("result blob does not hold a RunResult")
     return result
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization of RunResult (pickle needs no help).
-
-def result_to_json_dict(result: RunResult) -> dict:
-    """JSON-able form of a :class:`RunResult`.  ``extra`` values that do
-    not serialize (e.g. the decoupled program object) are dropped; numpy
-    arrays are tagged so :func:`result_from_json_dict` can rebuild them."""
-    extra = {}
-    for key, value in result.extra.items():
-        if isinstance(value, np.ndarray):
-            extra[key] = {"__ndarray__": value.tolist()}
-            continue
-        try:
-            json.dumps(value)
-        except TypeError:
-            continue
-        extra[key] = value
-    return {
-        "cycles": result.cycles,
-        "kernel_name": result.kernel_name,
-        "stats": result.stats.as_dict(),
-        "config": dataclasses.asdict(result.config),
-        "extra": extra,
-    }
-
-
-def result_from_json_dict(data: dict) -> RunResult:
-    extra = {}
-    for key, value in data.get("extra", {}).items():
-        if isinstance(value, dict) and "__ndarray__" in value:
-            value = np.asarray(value["__ndarray__"], dtype=np.float64)
-        extra[key] = value
-    return RunResult(
-        cycles=data["cycles"],
-        stats=Stats.from_dict(data["stats"]),
-        config=GPUConfig.from_dict(data["config"]),
-        kernel_name=data["kernel_name"],
-        extra=extra,
-    )
-
-
-def result_to_json(result: RunResult) -> str:
-    return json.dumps(result_to_json_dict(result), sort_keys=True)
-
-
-def result_from_json(text: str) -> RunResult:
-    return result_from_json_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -179,15 +179,12 @@ def fig19_affine_loads(scale: str = "paper",
         -> dict[str, float]:
     config = config or experiment_config()
     out = {}
-    total_affine = total_all = 0.0
     for abbr in MEMORY_ORDER:
         dac = run_one(abbr, "dac", scale, config)
         affine = dac.stats["dac.affine_load_lines"]
         demand = dac.stats["gmem_load_lines"]
         frac = affine / max(1.0, affine + demand)
         out[abbr] = frac
-        total_affine += affine
-        total_all += affine + demand
     out["MEAN"] = sum(v for k, v in out.items() if k != "MEAN") \
         / len(MEMORY_ORDER)
     return out

@@ -140,7 +140,6 @@ def run_one(abbr: str, technique: str = "baseline", scale: str = "paper",
     launch = get(abbr).launch(scale)
     result = run_launch(launch, technique, config, use_cache=use_cache,
                         tracer=tracer)
-    result.extra["abbr"] = abbr
     if tracer is not None:
         result.extra["tracer"] = tracer
     elif use_cache:

@@ -308,17 +308,6 @@ class Decoded:
     def __repr__(self) -> str:
         return f"Decoded({self.inst!r})"
 
-    # Every field is derived from ``inst``, so pickling reduces to the
-    # instruction and re-derives.  The decode cache travels with kernels
-    # (a DAC result's ``extra["program"]``) into disk-cache entries and
-    # worker payloads; pickling the derived slots too would make a DAC
-    # cache entry ~20% larger.
-    def __getstate__(self):
-        return self.inst
-
-    def __setstate__(self, inst) -> None:
-        self.__init__(inst)  # type: ignore[misc]
-
 
 def decoded_of(kernel) -> list[Decoded]:
     """The kernel's decode cache, aligned with ``kernel.instructions``.

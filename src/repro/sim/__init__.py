@@ -2,7 +2,6 @@
 
 from ..config import (
     CacheConfig,
-    CAEConfig,
     DACConfig,
     DRAMConfig,
     GPUConfig,
@@ -24,7 +23,7 @@ from .sm import SM
 from .warp import WarpContext
 
 __all__ = [
-    "CAEConfig", "CTAState", "CacheConfig", "DACConfig", "DRAMConfig",
+    "CTAState", "CacheConfig", "DACConfig", "DRAMConfig",
     "DeadlockError", "FunctionalInterpreter", "FunctionalResult", "GPU",
     "GPUConfig", "GlobalMemory", "KernelLaunch", "MTAConfig", "RunResult",
     "SIMTStack", "SM", "Scheduler", "SimulationHang", "Stats", "TraceEntry",

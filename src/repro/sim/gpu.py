@@ -105,9 +105,6 @@ class RunResult:
     def ipc(self) -> float:
         return self.stats["thread_instructions"] / max(1, self.cycles)
 
-    def speedup_over(self, baseline: "RunResult") -> float:
-        return baseline.cycles / max(1, self.cycles)
-
 
 class GPU:
     """A simulated GPU instance.  Create one per kernel launch."""

@@ -19,7 +19,8 @@ class GlobalMemory:
         self.words = np.zeros(size_bytes // WORD, dtype=np.float64)
         self._next_free = 128           # keep address 0 unused
         #: byte address -> requested byte length, for every allocation.
-        #: The lint bounds pass checks indexing against these extents.
+        #: The lint bounds pass (``analysis.passes``) reads this map
+        #: directly to check indexing against the extents.
         self.allocations: dict[int, int] = {}
 
     @property
@@ -34,10 +35,6 @@ class GlobalMemory:
             raise MemoryError("device memory exhausted")
         self.allocations[addr] = num_words * WORD
         return addr
-
-    def extent_at(self, byte_addr: int) -> int | None:
-        """Byte length of the allocation starting at ``byte_addr``, if any."""
-        return self.allocations.get(int(byte_addr))
 
     def alloc_array(self, values) -> int:
         data = np.asarray(values, dtype=np.float64)

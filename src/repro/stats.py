@@ -32,13 +32,6 @@ class Stats:
     def as_dict(self) -> dict[str, float]:
         return dict(self.counters)
 
-    @classmethod
-    def from_dict(cls, counters: dict[str, float]) -> "Stats":
-        """Inverse of :meth:`as_dict` (the JSON round-trip path)."""
-        out = cls()
-        out.counters.update(counters)
-        return out
-
     def merged_with(self, other: "Stats") -> "Stats":
         out = Stats()
         for src in (self, other):

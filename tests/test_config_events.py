@@ -1,12 +1,60 @@
 """Tests for configuration, the event queue, and the stats store."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from repro.config import GPUConfig
 from repro.events import EventQueue
+from repro.harness import experiment_config
 from repro.stats import Stats
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+TABLE1_GTX480 = """\
+Baseline GPU
+  GPU        Fermi (GTX480), 15 SMs, 48 warps/SM
+  SM         32 SIMT lanes, 128KB register file
+  Scheduler  2 Schedulers/SM, Two Level Active
+  L1         48 KB/SM, 4 Ways, 32 MSHRs
+  L2         768 KB, 6 Partitions, 8 Ways
+GPU Prefetcher (MTA)
+  Prefetch Buffer  16KB/SM (in addition to the L1)
+Compact Affine Execution (CAE)
+  Affine Units     2 per SM
+Decoupled Affine Computation (DAC)
+  ATQ (per SM)   24 Entries
+  PWAQ (per SM)  192 Entries
+  PWPQ (per SM)  192 Entries
+  Affine Stack   depth 8, 48 PWSs"""
+
+TABLE1_EXPERIMENT = """\
+Baseline GPU
+  GPU        Fermi (GTX480), 4 SMs, 48 warps/SM
+  SM         32 SIMT lanes, 128KB register file
+  Scheduler  2 Schedulers/SM, Two Level Active
+  L1         48 KB/SM, 4 Ways, 32 MSHRs
+  L2         204 KB, 6 Partitions, 8 Ways
+GPU Prefetcher (MTA)
+  Prefetch Buffer  16KB/SM (in addition to the L1)
+Compact Affine Execution (CAE)
+  Affine Units     2 per SM
+Decoupled Affine Computation (DAC)
+  ATQ (per SM)   24 Entries
+  PWAQ (per SM)  192 Entries
+  PWPQ (per SM)  192 Entries
+  Affine Stack   depth 8, 48 PWSs"""
+
+
+def _leaf_fields(config, prefix=""):
+    """Dotted names of every settable leaf value of a config dataclass."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_fields(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
 
 
 class TestConfig:
@@ -14,7 +62,6 @@ class TestConfig:
         c = GPUConfig.gtx480()
         assert c.num_sms == 15
         assert c.warps_per_sm == 48
-        assert c.warp_size == 32
         assert c.num_schedulers == 2
         assert c.l1.size_bytes == 48 * 1024 and c.l1.ways == 4
         assert c.l1.num_mshrs == 32
@@ -23,13 +70,28 @@ class TestConfig:
         assert c.dac.pwaq_entries == 192
         assert c.dac.pwpq_entries == 192
         assert c.mta.buffer_bytes == 16 * 1024
-        assert c.cae.affine_units == 2
 
     def test_table1_render(self):
         text = GPUConfig.gtx480().table1()
         for token in ("GTX480", "48 warps/SM", "48 KB/SM", "768 KB",
                       "Two Level Active", "16KB/SM", "ATQ"):
             assert token in text
+
+    def test_table1_pinned(self):
+        """Both Table 1 renderings, byte for byte, including the lines the
+        model fixes (SIMT lanes, register file, CAE affine units)."""
+        assert GPUConfig.gtx480().table1() == TABLE1_GTX480
+        assert experiment_config().table1() == TABLE1_EXPERIMENT
+
+    def test_every_field_is_read_by_the_model(self):
+        """A field nothing outside ``config.py`` reads is a knob that lies:
+        sweeping it returns identical cycles without a warning."""
+        source = "\n".join(
+            path.read_text() for path in SRC.rglob("*.py")
+            if path != SRC / "config.py")
+        unread = [name for name in _leaf_fields(GPUConfig())
+                  if "." + name.rsplit(".", 1)[-1] not in source]
+        assert unread == []
 
     def test_scaled_preserves_per_sm_resources(self):
         c = GPUConfig.gtx480().scaled(4)

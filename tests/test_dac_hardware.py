@@ -252,7 +252,8 @@ class TestDACEndToEnd:
         expected = (np.arange(64) % 16 + 1).astype(float)
         np.testing.assert_array_equal(mem.read_array(params["O"], 64),
                                       expected)
-        assert result.extra["program"].decoupled_loads == 1
+        kernel = parse_kernel(src, name="t", params=tuple(params))
+        assert decouple(kernel).decoupled_loads == 1
 
     def test_barrier_gates_expansion(self):
         src = """

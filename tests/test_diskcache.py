@@ -21,12 +21,11 @@ from repro.harness import (
     configure_cache,
     disk_cache,
     experiment_config,
-    result_from_json,
-    result_to_json,
     run_one,
     run_suite,
 )
 from repro.harness import runner
+from repro.harness.diskcache import decode_result, encode_result
 from repro.sim.gpu import RunResult
 from repro.stats import Stats
 from repro.workloads import get
@@ -239,10 +238,7 @@ class TestWiring:
 
 class TestSerialization:
     def _result(self):
-        result = runner.simulate_launch(get("LIB").launch("tiny"),
-                                        "dac", CFG)
-        result.extra["abbr"] = "LIB"
-        return result
+        return runner.simulate_launch(get("LIB").launch("tiny"), "dac", CFG)
 
     def test_pickle_roundtrip(self):
         result = self._result()
@@ -258,27 +254,19 @@ class TestSerialization:
         assert np.array_equal(copy.extra["memory_words"],
                               result.extra["memory_words"])
 
-    def test_json_roundtrip(self):
+    def test_codec_roundtrip(self):
         result = self._result()
-        copy = result_from_json(result_to_json(result))
+        copy = decode_result(encode_result(result))
         assert isinstance(copy, RunResult)
         assert copy.cycles == result.cycles
         assert copy.kernel_name == result.kernel_name
         assert copy.config == result.config
         assert copy.stats.as_dict() == result.stats.as_dict()
-        assert copy.extra["abbr"] == "LIB"
         assert copy.extra["stalls"] == result.extra["stalls"]
         assert np.array_equal(copy.extra["memory_words"],
                               result.extra["memory_words"])
-        # Non-JSON-able extras (the decoupled program) are dropped, not
-        # mangled.
-        assert "program" in result.extra
+        # A DAC result carries no decoupled program: nothing reads it.
         assert "program" not in copy.extra
-
-    def test_stats_from_dict(self):
-        stats = Stats()
-        stats.add("x", 2.5)
-        assert Stats.from_dict(stats.as_dict()).as_dict() == {"x": 2.5}
 
     def test_config_from_dict(self):
         config = experiment_config(num_sms=3).with_technique("mta")

@@ -87,3 +87,12 @@ class TestAreaModel:
     def test_table_renders(self):
         text = area_report().table()
         assert "Overhead" in text and "%" in text
+
+    def test_table_pinned(self):
+        """``repro area`` output, byte for byte."""
+        assert area_report().table() == (
+            "SRAM per SM          6241 B  0.213 mm2\n"
+            "ALUs per SM                    0.160 mm2\n"
+            "Total (15 SMs)               5.60 mm2\n"
+            "Die                          520 mm2\n"
+            "Overhead                     1.08 %")

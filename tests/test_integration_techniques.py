@@ -5,6 +5,7 @@ simulator gets for free from its functional front-end)."""
 import numpy as np
 import pytest
 
+from repro.compiler.decouple import decouple
 from repro.core import run_dac
 from repro.sim import GPUConfig, simulate
 from repro.workloads import BY_ABBR, get
@@ -36,7 +37,7 @@ def test_dac_stat_invariants(abbr):
     launch = get(abbr).launch("tiny")
     result = run_dac(launch, CFG)
     s = result.stats
-    if not result.extra["program"].is_decoupled:
+    if not decouple(launch.kernel).is_decoupled:
         pytest.skip("not decoupled")
     assert s["dac.leftover_records"] == 0
     assert s["dac.affine_unfinished"] == 0

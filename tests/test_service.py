@@ -72,6 +72,21 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             task_from_wire({"abbr": "CP"})
 
+    @pytest.mark.parametrize("field", [
+        "warp_size", "active_warps_per_scheduler", "registers_per_sm",
+        "cae", "dac.dcrf_entries"])
+    def test_retired_config_field_is_malformed(self, field):
+        """A wire task journaled before a config field was deleted no
+        longer decodes, so journal replay quarantines it."""
+        wire = task_to_wire(TASK, SCALE)
+        *owners, name = field.split(".")
+        config = wire["config"]
+        for owner in owners:
+            config = config[owner]
+        config[name] = 2
+        with pytest.raises(ProtocolError, match="malformed job"):
+            task_from_wire(wire)
+
     def test_job_digest_is_content_addressed(self, monkeypatch):
         a = job_digest(TASK, SCALE)
         assert a == job_digest(TASK, SCALE)
