@@ -5,7 +5,7 @@ routes through a running daemon *transparently*: if the service socket
 answers a ping, pending cells are submitted over it and the results are
 read back out of the daemon's journal blobs by ``result_path`` (client
 and daemon share a filesystem — that is what a unix socket means — so
-multi-megabyte device-memory images never ride the wire; a missing or
+result blobs never ride the wire, only their paths; a missing or
 corrupt blob raises :class:`ServiceUnavailable`).  If no daemon is up,
 one of another package version answers the ping, or one dies mid-grid,
 the caller falls back to the local pool — the same supervised pool

@@ -8,7 +8,9 @@ that determines the outcome of a deterministic run:
 
 * the kernel program text (``launch.kernel.source()``),
 * the launch geometry and inputs (grid/block dims, parameters, shared
-  memory size, and the initial device-memory image),
+  memory size, the device-memory size, and the initial device-memory
+  image up to its last allocated or non-zero word — past that every
+  word is zero, see :meth:`~repro.sim.launch.GlobalMemory.image`),
 * the full :class:`~repro.config.GPUConfig`,
 * the technique, and
 * the repro package version (bumped whenever the timing model changes
@@ -25,7 +27,9 @@ client and job journal use it too), and :func:`job_digest` — salted like
 
 A blob pickles the whole :class:`RunResult`: cycles, Stats, config and
 the ``extra`` payloads readers open (``memory_words``, ``stalls``, and
-``fallback_reason`` after a safe-mode fallback).
+``fallback_reason`` after a safe-mode fallback).  ``memory_words`` is the
+final image trimmed the same way as the key's, so a blob scales with the
+memory a kernel touches (kilobytes), not with the device size.
 """
 
 from __future__ import annotations
@@ -39,15 +43,13 @@ import tempfile
 import zlib
 from pathlib import Path
 
-import numpy as np
-
 from .. import __version__
 from ..config import GPUConfig
 from ..sim.gpu import RunResult
 from ..sim.launch import KernelLaunch
 
 #: Bump to invalidate every existing cache entry without a version change.
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 
 
 def default_cache_dir() -> Path:
@@ -70,10 +72,12 @@ def cache_key(launch: KernelLaunch, technique: str,
     h = _salted_sha256()
     h.update(f"\x00{technique}\x00".encode())
     h.update(launch.kernel.source().encode())
+    image = launch.memory.image()
     h.update(repr((launch.grid_dim, launch.block_dim,
                    sorted(launch.params.items()),
-                   launch.shared_words)).encode())
-    h.update(np.ascontiguousarray(launch.memory.words).tobytes())
+                   launch.shared_words, launch.memory.size_bytes,
+                   len(image))).encode())
+    h.update(image.tobytes())
     h.update(json.dumps(dataclasses.asdict(config),
                         sort_keys=True).encode())
     return h.hexdigest()
@@ -93,9 +97,8 @@ def job_digest(task, scale: str) -> str:
 # The result codec.
 
 def encode_result(result: RunResult) -> bytes:
-    """A :class:`RunResult` as bytes.  Device-memory images are mostly
-    zeros, so a pickle is zlib-compressed (level 1: ~100x smaller for
-    typical runs at negligible CPU cost)."""
+    """A :class:`RunResult` as bytes: its pickle, zlib-compressed at
+    level 1 (most of it is the trimmed ``memory_words`` image)."""
     return zlib.compress(
         pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL), 1)
 

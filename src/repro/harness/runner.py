@@ -76,7 +76,7 @@ def simulate_launch(launch: KernelLaunch, technique: str,
     else:
         result = simulate(launch, config.with_technique(technique),
                           tracer=tracer)
-    result.extra["memory_words"] = launch.memory.words
+    result.extra["memory_words"] = launch.memory.image()
     return result
 
 

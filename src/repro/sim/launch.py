@@ -27,6 +27,17 @@ class GlobalMemory:
     def size_bytes(self) -> int:
         return len(self.words) * WORD
 
+    def image(self) -> np.ndarray:
+        """An owned copy of every word a launch can have changed: the
+        allocated prefix, extended to one past the last word beyond it
+        whose bits are non-zero (so an out-of-bounds write, even of
+        ``-0.0``, still shows).  The words past the image are all zero."""
+        end = self._next_free // WORD
+        tail = self.words[end:].view(np.uint64)
+        if tail.any():
+            end += int(np.flatnonzero(tail)[-1]) + 1
+        return self.words[:end].copy()
+
     def alloc(self, num_words: int) -> int:
         """Bump-allocate; returns the byte address (128-byte aligned)."""
         addr = self._next_free

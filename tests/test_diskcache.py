@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import GPUConfig
 from repro.harness import (
@@ -27,8 +28,9 @@ from repro.harness import (
 from repro.harness import runner
 from repro.harness.diskcache import decode_result, encode_result
 from repro.sim.gpu import RunResult
+from repro.sim.launch import GlobalMemory
 from repro.stats import Stats
-from repro.workloads import get
+from repro.workloads import BY_ABBR, get
 
 CFG = experiment_config(num_sms=2)
 
@@ -74,6 +76,65 @@ class TestCacheKey:
         base = cache_key(launch, "baseline", CFG)
         launch.memory.words[0] = 123.0
         assert cache_key(launch, "baseline", CFG) != base
+
+
+#: One write to a ``GlobalMemory(4096)``: an in-range word index and a
+#: finite, non-zero value (a small pool, so two memories often agree).
+_WRITES = st.lists(st.tuples(st.integers(0, 1023),
+                             st.sampled_from([1.0, -2.5, 3.0, 1e300])),
+                   max_size=6)
+
+
+class TestMemoryImage:
+    @settings(max_examples=200, deadline=None)
+    @given(alloc=st.integers(0, 992), shared=_WRITES,
+           only_a=_WRITES, only_b=_WRITES)
+    def test_image_equality_is_full_equality(self, alloc, shared,
+                                             only_a, only_b):
+        a, b = GlobalMemory(4096), GlobalMemory(4096)
+        for memory, own in ((a, only_a), (b, only_b)):
+            memory.alloc(alloc)
+            for index, value in shared + own:
+                memory.words[index] = value
+        assert np.array_equal(a.image(), b.image()) == \
+            np.array_equal(a.words, b.words)
+
+    def test_image_is_an_owned_copy_of_the_prefix(self):
+        memory = GlobalMemory(4096)
+        addr = memory.alloc_array([1.0, 2.0, 3.0])
+        image = memory.image()
+        assert image.base is None
+        assert len(image) == memory._next_free // 4
+        assert list(image[addr // 4:addr // 4 + 3]) == [1.0, 2.0, 3.0]
+        memory.words[-1] = -0.0
+        assert len(memory.image()) == len(memory.words)
+
+    @pytest.mark.parametrize("value", [1.0, -0.0])
+    def test_key_sees_a_write_past_the_allocations(self, value):
+        launch = get("CP").launch("tiny")
+        base = cache_key(launch, "baseline", CFG)
+        launch.memory.words[launch.memory._next_free // 4 + 5] = value
+        assert cache_key(launch, "baseline", CFG) != base
+
+    def test_key_sees_the_memory_size(self):
+        launch = get("CP").launch("tiny")
+        bigger = GlobalMemory(2 * launch.memory.size_bytes)
+        bigger.words[:len(launch.memory.words)] = launch.memory.words
+        bigger._next_free = launch.memory._next_free
+        other = dataclasses.replace(launch, memory=bigger)
+        assert np.array_equal(bigger.image(), launch.memory.image())
+        assert cache_key(other, "baseline", CFG) != \
+            cache_key(launch, "baseline", CFG)
+
+    @pytest.mark.parametrize("abbr", sorted(BY_ABBR))
+    def test_result_carries_only_the_allocated_image(self, abbr):
+        """No registry kernel writes past its allocations, and a result
+        owns its image, so the launch's full memory can be freed."""
+        launch = get(abbr).launch("tiny")
+        result = runner.simulate_launch(launch, "baseline", CFG)
+        image = result.extra["memory_words"]
+        assert image.base is None
+        assert len(image) == launch.memory._next_free // 4
 
 
 class TestDiskCache:

@@ -20,6 +20,7 @@ from repro.harness import (
     run_one,
     table2_classification,
 )
+from repro.harness import runner
 from repro.workloads import COMPUTE_ORDER, MEMORY_ORDER
 
 CFG = experiment_config(num_sms=2)
@@ -44,6 +45,24 @@ class TestRunner:
         assert set(results) == {"baseline", "dac"}
         ref = results["baseline"].extra["memory_words"]
         assert np.array_equal(ref, results["dac"].extra["memory_words"])
+
+    def test_cross_check_sees_a_write_past_the_image(self, monkeypatch):
+        """A stray write at the very end of device memory, far past every
+        allocation, still fails the cross-technique check."""
+        real = runner.run_dac
+
+        def stray(launch, config, tracer=None):
+            result = real(launch, config, tracer=tracer)
+            launch.memory.words[-1] = 1.0
+            return result
+
+        monkeypatch.setattr(runner, "run_dac", stray)
+        monkeypatch.setattr(runner, "_disk", None)
+        clear_cache()
+        with pytest.raises(AssertionError, match="dac output differs"):
+            run_benchmark("LIB", "tiny", CFG,
+                          techniques=("baseline", "dac"))
+        clear_cache()
 
     def test_geomean(self):
         g = Geomean()
