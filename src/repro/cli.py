@@ -15,12 +15,6 @@ Commands:
   fig18, fig19, fig20, fig21, or ``all``);
 * ``faults`` — seeded fault-injection campaign: every injected fault must
   be detected (checker / hang / oracle) or survived, never silent;
-* ``perf`` — the benchmark gate: run the fixed workload × technique
-  matrix with multi-rep statistical timing (mean, 95% CI, Welch t-test
-  verdict vs ``BENCH_baseline.json``), assert Stats bit-identity against
-  the committed goldens, write throughput numbers to the next free
-  ``BENCH_<n>.json``, and append to the ``BENCH_history.jsonl`` series
-  (``--history`` summarizes the trajectory);
 * ``lint`` — static diagnostics (``RPL0xx``) over benchmarks or an
   assembly file; ``--campaign`` differentially validates every diagnostic
   class against the simulator; ``--sarif`` exports findings as SARIF;
@@ -356,11 +350,6 @@ def _cmd_faults(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_perf(args) -> int:
-    from .harness.bench import main_perf
-    return main_perf(args)
-
-
 def _cmd_serve(args) -> int:
     from .harness.client import default_socket_path
     from .harness.parallel import default_jobs
@@ -663,29 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="graceful-shutdown bound for in-flight cells "
                             "(default: --timeout + 5)")
     serve.set_defaults(func=_cmd_serve)
-
-    perf = sub.add_parser(
-        "perf", help="throughput benchmark gated on Stats bit-identity")
-    perf.add_argument("--quick", action="store_true",
-                      help="golden matrix only (tiny scale); skips the "
-                           "paper-scale throughput cells")
-    perf.add_argument("--reps", type=int, default=3, metavar="N",
-                      help="timing repetitions per cell; every sample is "
-                           "recorded and the report shows mean, 95%% CI, "
-                           "and a Welch t-test verdict vs the reference "
-                           "distribution (default 3 — the floor for a "
-                           "dispersion estimate)")
-    perf.add_argument("--out", default=None, metavar="FILE",
-                      help="bench JSON destination (default: the next "
-                           "free BENCH_<n>.json at the repo root, derived "
-                           "from the files already there)")
-    perf.add_argument("--history", action="store_true",
-                      help="summarize the BENCH_history.jsonl trajectory "
-                           "and exit (no simulation)")
-    perf.add_argument("--no-history", action="store_true",
-                      help="skip appending this run to "
-                           "BENCH_history.jsonl")
-    perf.set_defaults(func=_cmd_perf)
 
     lint = sub.add_parser(
         "lint", help="static diagnostics for kernels (RPL0xx codes)")

@@ -29,14 +29,6 @@ from .client import (
     try_connect,
 )
 from .parallel import GridReport, default_jobs, run_grid
-from .perfstats import (
-    Summary,
-    TTestResult,
-    summarize,
-    t_critical,
-    verdict,
-    welch_t_test,
-)
 from .report import ascii_table, bar
 from .export import to_csv, to_json
 from .profile import Profile, profile
@@ -58,9 +50,7 @@ from .runner import (
 __all__ = [
     "DiskCache", "Geomean", "GridReport", "Profile",
     "RemoteTaskError", "ServiceBusy", "ServiceClient",
-    "ServiceUnavailable", "Summary", "SweepPoint", "SweepResult",
-    "TTestResult",
-    "TECHNIQUES", "ascii_table", "backoff_delay", "backoff_schedule",
+    "ServiceUnavailable", "SweepPoint", "SweepResult", "TECHNIQUES", "ascii_table", "backoff_delay", "backoff_schedule",
     "bar", "cache_key", "clear_cache",
     "configure_cache", "default_cache_dir", "default_jobs",
     "default_socket_path", "disk_cache", "try_connect",
@@ -69,7 +59,6 @@ __all__ = [
     "fig18_coverage", "fig19_affine_loads", "fig20_mta_coverage",
     "fig21_energy", "fig21_report", "override", "profile",
     "run_benchmark", "run_grid", "run_launch",
-    "run_one", "run_suite", "simulate_launch", "summarize", "sweep",
-    "t_critical", "to_csv", "to_json", "table2_classification",
-    "verdict", "welch_t_test",
+    "run_one", "run_suite", "simulate_launch", "sweep",
+    "to_csv", "to_json", "table2_classification",
 ]

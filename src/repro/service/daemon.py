@@ -56,13 +56,15 @@ INFLIGHT, DONE, FAILED, QUARANTINED = \
     "inflight", "done", "failed", "quarantined"
 
 
-def default_state_dir() -> Path:
+def default_state_dir(cache_dir=None) -> Path:
     """Journal location: ``$REPRO_SERVICE_STATE`` or a ``service``
-    directory next to the default disk cache."""
+    directory next to the disk cache (``cache_dir`` if given, else the
+    default one)."""
     env = os.environ.get("REPRO_SERVICE_STATE")
     if env:
         return Path(env).expanduser()
-    return default_cache_dir() / "service"
+    base = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    return base / "service"
 
 
 class _DaemonJob:
@@ -88,7 +90,7 @@ class ExperimentDaemon:
                  drain_timeout: float | None = None, log=None):
         self.socket_path = Path(socket_path)
         self.state_dir = Path(state_dir) if state_dir is not None \
-            else default_state_dir()
+            else default_state_dir(cache_dir)
         self.cache_dir = None
         if use_cache:
             self.cache_dir = Path(cache_dir) if cache_dir is not None \

@@ -368,6 +368,18 @@ class TestJournal:
         lines = (tmp_path / "journal.jsonl").read_text().splitlines()
         assert sum('"quarantine"' in line for line in lines) == 1
 
+    def test_state_dir_defaults_next_to_given_cache_dir(self, tmp_path,
+                                                        monkeypatch):
+        """``serve --cache-dir X`` without ``--state`` journals under
+        ``X/service``, not next to the default cache."""
+        from repro.service.daemon import ExperimentDaemon
+
+        monkeypatch.delenv("REPRO_SERVICE_STATE", raising=False)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        daemon = ExperimentDaemon(tmp_path / "s.sock",
+                                  cache_dir=tmp_path / "c")
+        assert daemon.state_dir == tmp_path / "c" / "service"
+
 
 # ---------------------------------------------------------------------------
 # Supervised worker pool (real processes)
