@@ -22,10 +22,11 @@ Commands:
   every queue tuple equivalent to the original access (RPL05x) over
   benchmarks, fuzz kernels, or an assembly file; ``--campaign`` runs the
   seeded decoupler-mutation campaign (no silent escapes allowed);
-* ``serve`` — the supervised experiment daemon: journaled jobs over a
-  unix socket, worker heartbeats + watchdog respawn, per-workload
-  circuit breakers, graceful drain; simulating commands route through a
-  running daemon automatically (``--service``/``--no-service``).
+* ``serve`` — the supervised experiment daemon for concurrent clients on
+  one host: journaled jobs over a unix socket (the one durable job
+  state), worker heartbeats + watchdog respawn, per-workload circuit
+  breakers, graceful drain; simulating commands route through a running
+  daemon automatically (``--service``/``--no-service``).
 """
 
 from __future__ import annotations
@@ -88,17 +89,12 @@ def _add_harness_args(parser) -> None:
                         help="re-submissions per cell after a timeout or "
                              "worker crash before it is quarantined "
                              "(default 1)")
-    parser.add_argument("--checkpoint", default=None, metavar="DIR",
-                        help="persist finished grid cells under DIR and "
-                             "resume from them on the next run")
-    parser.add_argument("--retry-quarantined", action="store_true",
-                        help="forget checkpointed quarantine verdicts and "
-                             "give those cells another chance")
     parser.add_argument("--service", default=None, metavar="SOCK",
                         help="route simulations through the experiment "
                              "daemon at SOCK (default: auto-detect "
-                             "$REPRO_SERVICE_SOCKET or the default "
-                             "socket; falls back to the local pool)")
+                             "$REPRO_SERVICE_SOCKET or service.sock next "
+                             "to the disk cache; falls back to the local "
+                             "pool)")
     parser.add_argument("--no-service", action="store_true",
                         help="never route through a daemon, even if one "
                              "is running")
@@ -159,8 +155,6 @@ def _cmd_compare(args) -> int:
     results = run_suite([args.benchmark.upper()], args.scale, config,
                         jobs=args.jobs, use_cache=use_cache,
                         timeout=args.timeout, retries=args.retries,
-                        checkpoint=args.checkpoint,
-                        retry_quarantined=args.retry_quarantined,
                         service=_service_arg(args))[args.benchmark.upper()]
     rows = []
     base_cycles = None
@@ -241,7 +235,6 @@ _FIGURE_NEEDS = {
 
 
 def _prewarm_figures(names, scale, config, jobs, timeout=None, retries=1,
-                     checkpoint=None, retry_quarantined=False,
                      service=None) -> None:
     orders = {"all": COMPUTE_ORDER + MEMORY_ORDER,
               "compute": COMPUTE_ORDER, "memory": MEMORY_ORDER, "": []}
@@ -258,8 +251,7 @@ def _prewarm_figures(names, scale, config, jobs, timeout=None, retries=1,
         from .harness.parallel import GridReport
         report = GridReport()
         run_grid(tasks, scale, jobs=jobs, timeout=timeout, retries=retries,
-                 checkpoint=checkpoint, report=report,
-                 retry_quarantined=retry_quarantined, service=service,
+                 report=report, service=service,
                  progress=lambda done, total, abbr, tech, _res: print(
                      f"  [{done}/{total}] {abbr}/{tech}", file=sys.stderr))
         print(f"  prewarm: {report.summary()}", file=sys.stderr)
@@ -305,8 +297,6 @@ def _cmd_figures(args) -> int:
     if args.jobs > 1:
         _prewarm_figures(names, args.scale, config, args.jobs,
                          timeout=args.timeout, retries=args.retries,
-                         checkpoint=args.checkpoint,
-                         retry_quarantined=args.retry_quarantined,
                          service=_service_arg(args))
     for key in names:
         print(figures[key]())
@@ -354,18 +344,15 @@ def _cmd_serve(args) -> int:
     from .harness.client import default_socket_path
     from .harness.parallel import default_jobs
     from .service.daemon import run_daemon
-    socket_path = args.socket or default_socket_path()
+    socket_path = args.socket or default_socket_path(args.cache_dir)
     return run_daemon(
         socket_path,
         state_dir=args.state,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         workers=args.workers or default_jobs(),
-        queue_limit=args.queue_limit,
         job_timeout=args.timeout,
-        heartbeat_timeout=args.heartbeat_timeout,
         max_strikes=args.strikes,
-        drain_timeout=args.drain_timeout,
     )
 
 
@@ -632,25 +619,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "~/.cache/repro-dac)")
     serve.add_argument("--no-cache", action="store_true",
                        help="disable the shared disk cache")
-    serve.add_argument("--queue-limit", type=int, default=64, metavar="N",
-                       help="max admitted-but-unsettled jobs before "
-                            "submissions answer busy (default 64)")
     serve.add_argument("--timeout", type=float, default=120.0,
                        metavar="S",
                        help="per-cell wall-clock bound; a worker past it "
-                            "is killed, respawned, and the cell struck "
-                            "(default 120)")
-    serve.add_argument("--heartbeat-timeout", type=float, default=15.0,
-                       metavar="S",
-                       help="kill workers whose heartbeat goes stale "
-                            "(default 15)")
+                            "is killed, respawned, and the cell struck; "
+                            "shutdown drains in-flight cells for at most "
+                            "this plus 5 s (default 120)")
     serve.add_argument("--strikes", type=int, default=2, metavar="N",
                        help="circuit breaker: strikes before a cell is "
                             "quarantined (default 2)")
-    serve.add_argument("--drain-timeout", type=float, default=None,
-                       metavar="S",
-                       help="graceful-shutdown bound for in-flight cells "
-                            "(default: --timeout + 5)")
     serve.set_defaults(func=_cmd_serve)
 
     lint = sub.add_parser(

@@ -19,10 +19,8 @@ from .diskcache import (
     cache_key,
     default_cache_dir,
 )
-from .backoff import backoff_delay, backoff_schedule
 from .client import (
     RemoteTaskError,
-    ServiceBusy,
     ServiceClient,
     ServiceUnavailable,
     default_socket_path,
@@ -49,8 +47,9 @@ from .runner import (
 
 __all__ = [
     "DiskCache", "Geomean", "GridReport", "Profile",
-    "RemoteTaskError", "ServiceBusy", "ServiceClient",
-    "ServiceUnavailable", "SweepPoint", "SweepResult", "TECHNIQUES", "ascii_table", "backoff_delay", "backoff_schedule",
+    "RemoteTaskError", "ServiceClient",
+    "ServiceUnavailable", "SweepPoint", "SweepResult", "TECHNIQUES",
+    "ascii_table",
     "bar", "cache_key", "clear_cache",
     "configure_cache", "default_cache_dir", "default_jobs",
     "default_socket_path", "disk_cache", "try_connect",

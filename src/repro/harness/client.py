@@ -6,18 +6,14 @@ answers a ping, pending cells are submitted over it and the results are
 read back out of the daemon's journal blobs by ``result_path`` (client
 and daemon share a filesystem — that is what a unix socket means — so
 result blobs never ride the wire, only their paths; a missing or
-corrupt blob raises :class:`ServiceUnavailable`).  If no daemon is up,
-one of another package version answers the ping, or one dies mid-grid,
-the caller falls back to the local pool — the same supervised pool
+corrupt blob raises :class:`ServiceUnavailable`).  Every submit is
+admitted; a daemon that is shutting down rejects it outright.  If no
+daemon is up, one of another package version answers the ping, one
+rejects the submit, or one dies mid-grid, the cells it has not delivered
+fall back to the local pool — the same supervised pool
 (:class:`repro.service.supervisor.Supervisor`) the daemon runs, driven
 in-process; the daemon is an accelerator, never a dependency.  Either
 way a deterministic in-task failure raises :class:`RemoteTaskError`.
-
-Backpressure is cooperative: a ``busy`` reply from the daemon's bounded
-queue is retried on the shared capped-exponential schedule with
-deterministic jitter (:mod:`repro.harness.backoff`), seeded by the job
-digest so concurrent clients spread out instead of thundering back in
-step.
 """
 
 from __future__ import annotations
@@ -25,32 +21,28 @@ from __future__ import annotations
 import os
 import socket
 import sys
-import time
 from pathlib import Path
 
 from ..sim.gpu import RunResult, SimulationHang
 from . import diskcache
-from .backoff import backoff_delay
 from .diskcache import decode_result, default_cache_dir, job_digest
 
 SOCKET_ENV = "REPRO_SERVICE_SOCKET"
 
 
-def default_socket_path() -> Path:
-    """``$REPRO_SERVICE_SOCKET`` or ``service.sock`` next to the default
-    disk cache (the daemon's default listen address)."""
+def default_socket_path(cache_dir=None) -> Path:
+    """The daemon's default listen address: ``$REPRO_SERVICE_SOCKET`` or
+    ``service.sock`` next to the disk cache (``cache_dir`` if given, else
+    the default one)."""
     env = os.environ.get(SOCKET_ENV)
     if env:
         return Path(env).expanduser()
-    return default_cache_dir() / "service.sock"
+    base = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    return base / "service.sock"
 
 
 class ServiceUnavailable(ConnectionError):
     """No daemon at the socket, or it went away mid-conversation."""
-
-
-class ServiceBusy(RuntimeError):
-    """The daemon's bounded queue stayed full through every retry."""
 
 
 class RemoteTaskError(RuntimeError):
@@ -124,7 +116,8 @@ class ServiceClient:
 
     def submit(self, tasks, scale: str) -> list[dict]:
         """Submit ``(abbr, technique, config)`` tasks; returns the
-        per-job replies (``digest`` + ``state``, possibly ``busy``)."""
+        per-job replies (``digest`` + ``state``).  A daemon that is
+        shutting down rejects the whole submit."""
         from ..service.protocol import task_to_wire
         response = self.request(
             {"op": "submit",
@@ -167,41 +160,22 @@ class ServiceClient:
     # -- grid-level convenience --------------------------------------------
 
     def run_tasks(self, tasks, scale: str, progress=None,
-                  max_busy_retries: int = 8,
                   wait_timeout: float = 30.0) -> tuple[dict, list, dict]:
         """Run a grid through the daemon.
 
         Returns ``(results, quarantined, failures)`` where ``results``
         maps tasks to :class:`RunResult`; quarantined cells come back as
         partial results, deterministic failures raise
-        :class:`RemoteTaskError`.
+        :class:`RemoteTaskError`.  ``progress(task, result)`` fires as
+        each cell is delivered, so a caller that settles cells there
+        keeps them even if the daemon dies before the grid completes.
         """
         tasks = list(tasks)
-        digests = {job_digest(task, scale): task for task in tasks}
-        pending = dict(digests)
-
-        unsubmitted = dict(pending)
-        attempt = 0
-        while unsubmitted:
-            replies = self.submit(list(unsubmitted.values()), scale)
-            busy = {}
-            for reply in replies:
-                digest = reply["digest"]
-                if digest not in unsubmitted:
-                    raise ServiceUnavailable(
-                        f"daemon answered for unknown job {digest!r}")
-                if reply["state"] == "busy":
-                    busy[digest] = unsubmitted[digest]
-            if not busy:
-                break
-            if attempt >= max_busy_retries:
-                raise ServiceBusy(
-                    f"daemon stayed busy for {len(busy)} job(s) after "
-                    f"{attempt} retries")
-            time.sleep(backoff_delay(attempt,
-                                     seed=min(busy) if busy else ""))
-            attempt += 1
-            unsubmitted = busy
+        pending = {job_digest(task, scale): task for task in tasks}
+        for reply in self.submit(tasks, scale):
+            if reply["digest"] not in pending:
+                raise ServiceUnavailable(
+                    f"daemon answered for unknown job {reply['digest']!r}")
 
         results: dict = {}
         quarantined: list = []
@@ -250,23 +224,27 @@ def try_connect(socket_path=None,
 
 def run_tasks_via_service(pending, service, grid) -> list:
     """``run_grid``'s routing hook: try the daemon for ``pending``;
-    whatever it could not take (no daemon, daemon died mid-grid) is
-    returned for the local pool.  Settled cells are recorded on ``grid``
-    exactly as local ones are."""
-    path = None if service in (None, True) else service
-    client = try_connect(path)
+    whatever it did not deliver (no daemon, a rejected submit, a daemon
+    that died mid-grid) is returned for the local pool.  Each delivered
+    cell is settled on ``grid`` as it arrives, exactly as local ones are.
+    ``service`` is a socket path, or ``None``/``True`` for the default
+    socket next to the configured disk cache."""
+    if service in (None, True):
+        from . import runner
+        disk = runner.disk_cache()
+        service = default_socket_path(disk.root if disk is not None
+                                      else None)
+    client = try_connect(service)
     if client is None:
         return pending
     try:
         with client:
-            served, quarantined, failures = client.run_tasks(pending,
-                                                             grid.scale)
-    except (ServiceUnavailable, ServiceBusy) as exc:
+            _served, quarantined, failures = client.run_tasks(
+                pending, grid.scale, progress=grid.finish)
+    except ServiceUnavailable as exc:
         print(f"repro: service at {client.socket_path}: {exc}; "
               f"falling back to the local pool", file=sys.stderr)
-        return pending
-    for task, result in served.items():
-        grid.finish(task, result)
+        return [task for task in pending if task not in grid.results]
     for task in quarantined:
         grid.quarantine(task, failures[task])
     return []

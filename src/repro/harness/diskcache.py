@@ -22,8 +22,8 @@ workers — can never leave a torn entry behind; a corrupt or unreadable
 entry reads as a miss and is moved aside.  :func:`encode_result` /
 :func:`decode_result` are the one result codec (worker pipe, service
 client and job journal use it too), and :func:`job_digest` — salted like
-:func:`cache_key` — is the one job identity of the journal and of
-``run_grid(checkpoint=...)``.
+:func:`cache_key` — is the one job identity of the daemon, its journal
+and the supervised pool.
 
 A blob pickles the whole :class:`RunResult`: cycles, Stats, config and
 the ``extra`` payloads readers open (``memory_words``, ``stalls``, and

@@ -23,14 +23,11 @@ written atomically, so concurrent writers are safe), and the parent
 installs every returned result into its in-process memo cache — after a
 parallel prewarm, the serial figure drivers run entirely on cache hits.
 
-A ``checkpoint`` directory makes long sweeps resumable.  It is a
-:class:`~repro.service.journal.JobJournal` — the format of the daemon's
-``--state`` directory: every finished cell is committed as a result
-blob plus a ``done`` record as it lands, so a re-run with the same
-checkpoint skips straight past completed (and quarantined) cells.
-Cells are keyed by :func:`~repro.harness.diskcache.job_digest`, which
-includes the package version, so a checkpoint from an older timing
-model starts fresh.
+An interrupted grid resumes through that disk cache: workers store each
+cell as it lands, so a re-run skips what finished.  The one durable job
+state — quarantine verdicts and strike counts that survive a restart —
+is the ``repro serve --state DIR`` daemon's journal
+(:mod:`repro.service.journal`).
 """
 
 from __future__ import annotations
@@ -41,13 +38,9 @@ import sys
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from ..sim.gpu import RunResult
 from .diskcache import job_digest
-
-if TYPE_CHECKING:
-    from ..service.journal import JobJournal
 
 #: Task: (benchmark abbr, technique, GPUConfig).
 Task = tuple
@@ -72,7 +65,7 @@ class GridReport:
 
     total: int = 0
     completed: int = 0                         # fresh results this call
-    resumed: int = 0                           # restored from checkpoint
+    resumed: int = 0                           # replayed from a journal
     retries: int = 0                           # struck cells re-queued
     timeouts: int = 0                          # strikes for job_timeout
     quarantined: list = field(default_factory=list)      # abandoned tasks
@@ -144,13 +137,11 @@ class GridReport:
 class _Grid:
     """One :func:`run_grid` call's bookkeeping.  Every path that settles a
     cell — serial, the supervised pool, the daemon — records it here, so
-    the results, memo cache, checkpoint journal, report and progress
-    agree."""
+    the results, memo cache, report and progress agree."""
 
     scale: str
     use_cache: bool
     report: GridReport
-    journal: JobJournal | None
     progress: Callable[..., None] | None
     results: dict = field(default_factory=dict)
 
@@ -161,8 +152,6 @@ class _Grid:
             runner._remember(abbr, technique, self.scale, config, result)
         self.results[task] = result
         self.report.record("done")
-        if self.journal is not None:
-            self.journal.record_done(job_digest(task, self.scale), result)
         if self.progress is not None:
             self.progress(len(self.results), self.report.total, abbr,
                           technique, result)
@@ -171,41 +160,14 @@ class _Grid:
         print(f"repro: quarantining {task[0]}/{task[1]}: {error}",
               file=sys.stderr)
         self.report.record("quarantined", error, task)
-        if self.journal is not None:
-            self.journal.record_quarantine(job_digest(task, self.scale),
-                                           error)
 
-    def triage(self, tasks: list, retry_quarantined: bool) -> list:
-        """Settle every cell the checkpoint journal or the cache already
-        holds; return the rest.  Only this grid's ``done`` blobs are
-        decoded, once each; one that fails to load runs again."""
+    def triage(self, tasks: list) -> list:
+        """Settle every cell the memo cache already holds; return the
+        rest."""
         from . import runner
-        replayed = self.journal.fold() if self.journal is not None else {}
         pending: list[Task] = []
         for task in tasks:
             abbr, technique, config = task
-            if self.journal is not None:
-                digest = job_digest(task, self.scale)
-                status = replayed.get(digest, {}).get("status")
-                if status == "quarantined" and retry_quarantined:
-                    self.journal.record_unquarantine(digest)
-                    status = None
-                if status == "done":
-                    result = self.journal.load_result(digest)
-                    if result is not None:
-                        runner._remember(abbr, technique, self.scale,
-                                         config, result)
-                        self.results[task] = result
-                        self.report.resumed += 1
-                        if self.progress is not None:
-                            self.progress(len(self.results),
-                                          self.report.total, abbr,
-                                          technique, result)
-                        continue
-                elif status == "quarantined":
-                    self.report.record("quarantined",
-                                       "quarantined in a previous run", task)
-                    continue
             if self.use_cache and runner.is_cached(abbr, technique,
                                                    self.scale, config):
                 self.results[task] = runner.run_one(abbr, technique,
@@ -275,8 +237,7 @@ def _run_supervised(grid: _Grid, pending: list, jobs: int,
 def run_grid(tasks, scale: str = "paper", jobs: int | None = None,
              use_cache: bool = True, progress=None,
              timeout: float | None = None, retries: int = 1,
-             checkpoint=None, report: GridReport | None = None,
-             retry_quarantined: bool = False,
+             report: GridReport | None = None,
              service: str | os.PathLike | bool | None = None) -> dict:
     """Fan ``tasks`` — (abbr, technique) pairs or (abbr, technique,
     config) triples — out over ``jobs`` supervised worker processes.
@@ -294,18 +255,14 @@ def run_grid(tasks, scale: str = "paper", jobs: int | None = None,
     Deterministic in-task exceptions raise
     :class:`~repro.harness.client.RemoteTaskError` immediately.
 
-    ``checkpoint`` (a directory path) makes the sweep resumable: the
-    directory is a :class:`~repro.service.journal.JobJournal`, finished
-    cells are committed to it as they land and skipped on the next call.
     Pass a :class:`GridReport` as ``report`` to receive
-    retry/timeout/quarantine accounting.  ``retry_quarantined=True``
-    forgets earlier quarantine verdicts and gives those cells another
-    chance.
+    retry/timeout/quarantine accounting.
 
     ``service`` routes the grid through a running experiment daemon
     (``python -m repro serve``): a socket path uses that daemon, ``None``
-    auto-detects one at :func:`repro.harness.client.default_socket_path`,
-    and ``False`` forces the local pool.  When no daemon answers, the
+    auto-detects one at :func:`repro.harness.client.default_socket_path`
+    next to the configured disk cache, and ``False`` forces the local
+    pool.  When no daemon answers, the
     local path below runs unchanged — the daemon is an accelerator, never
     a dependency.
     """
@@ -323,23 +280,15 @@ def run_grid(tasks, scale: str = "paper", jobs: int | None = None,
     if report is None:
         report = GridReport()
     report.total = len(norm)
-    journal = None
-    if checkpoint is not None:
-        from ..service.journal import JobJournal
-        journal = JobJournal(checkpoint)
-    grid = _Grid(scale, use_cache, report, journal, progress)
-    try:
-        pending = grid.triage(norm, retry_quarantined)
-        if pending and service is not False:
-            from .client import run_tasks_via_service
-            pending = run_tasks_via_service(pending, service, grid)
+    grid = _Grid(scale, use_cache, report, progress)
+    pending = grid.triage(norm)
+    if pending and service is not False:
+        from .client import run_tasks_via_service
+        pending = run_tasks_via_service(pending, service, grid)
 
-        jobs = jobs if jobs is not None else default_jobs()
-        if jobs <= 1 or len(pending) <= 1:
-            grid.run_serial(pending)
-        else:
-            _run_supervised(grid, pending, jobs, timeout, retries)
-    finally:
-        if journal is not None:
-            journal.close()
+    jobs = jobs if jobs is not None else default_jobs()
+    if jobs <= 1 or len(pending) <= 1:
+        grid.run_serial(pending)
+    else:
+        _run_supervised(grid, pending, jobs, timeout, retries)
     return grid.results

@@ -168,16 +168,15 @@ def run_suite(abbrs, scale: str = "paper",
               progress=None, jobs: int = 1,
               use_cache: bool = True,
               timeout: float | None = None, retries: int = 1,
-              checkpoint=None, retry_quarantined: bool = False,
               service=None) -> dict[str, dict[str, RunResult]]:
     """Run the (benchmark × technique) grid.
 
     With ``jobs > 1`` the grid is fanned out over worker processes first
     (falling back to serial on worker failure); results land in the memo
     and disk caches, so the per-benchmark assembly below is all hits.
-    ``timeout``/``retries``/``checkpoint``/``retry_quarantined`` harden
-    the parallel fan-out, and ``service`` routes it through a running
-    experiment daemon — see :func:`repro.harness.parallel.run_grid`.
+    ``timeout``/``retries`` harden the parallel fan-out, and ``service``
+    routes it through a running experiment daemon — see
+    :func:`repro.harness.parallel.run_grid`.
     """
     config = config or experiment_config()
     abbrs = list(abbrs)
@@ -186,8 +185,7 @@ def run_suite(abbrs, scale: str = "paper",
         run_grid([(abbr, tech, config) for abbr in abbrs
                   for tech in techniques],
                  scale, jobs=jobs, use_cache=use_cache,
-                 timeout=timeout, retries=retries, checkpoint=checkpoint,
-                 retry_quarantined=retry_quarantined, service=service)
+                 timeout=timeout, retries=retries, service=service)
     out = {}
     for abbr in abbrs:
         out[abbr] = run_benchmark(abbr, scale, config, techniques)

@@ -1,9 +1,10 @@
 """The experiment daemon: asyncio over a unix socket, NDJSON framing.
 
 ``python -m repro serve`` keeps one journal, one disk cache, and one
-supervised worker pool alive across any number of client grids — the
-"simulate once, re-plot forever" cache of PR 1 promoted to "simulate
-once *per fleet*".  The daemon itself holds no state a crash can lose:
+supervised worker pool alive across the client grids of one host, so
+concurrent clients simulate each shared cell once.  The journal is the
+one durable job state: strike counts and quarantine verdicts outlive a
+process only here.  The daemon itself holds no state a crash can lose:
 job identity and completion live in the write-ahead journal
 (:mod:`repro.service.journal`), results live in atomic blobs, and a
 restarted daemon replays all of it before accepting connections.
@@ -14,15 +15,15 @@ heavy (simulation, supervision, watchdog kills) happens in the worker
 pool and its supervisor thread, which reports back via
 ``loop.call_soon_threadsafe``.
 
-Backpressure: when ``queue_limit`` jobs are already admitted-but-
-unsettled, further submissions answer ``{"state": "busy", "retry_after":
-s}`` instead of queueing without bound; the client retries on the shared
-capped-exponential-jitter schedule (:mod:`repro.harness.backoff`).
+Every submission is admitted.  The daemon serves a few concurrent
+clients on one host that share one cache; a submit that arrives while it
+is shutting down is rejected with ``{"ok": false, "error": ...}``, and
+the client runs those cells on its local pool.
 
 Shutdown (SIGTERM/SIGINT or the ``shutdown`` op) is graceful: the
-listener closes, in-flight cells drain to the journal, workers exit,
-and queued-but-unstarted jobs stay journaled as pending for the next
-daemon generation.
+listener closes, in-flight cells drain to the journal (for at most
+``job_timeout + 5`` seconds), workers exit, and queued-but-unstarted
+jobs stay journaled as pending for the next daemon generation.
 """
 
 from __future__ import annotations
@@ -85,9 +86,8 @@ class _DaemonJob:
 class ExperimentDaemon:
     def __init__(self, socket_path, state_dir=None, cache_dir=None,
                  use_cache: bool = True, workers: int = 2,
-                 queue_limit: int = 64, job_timeout: float = 120.0,
-                 heartbeat_timeout: float = 15.0, max_strikes: int = 2,
-                 drain_timeout: float | None = None, log=None):
+                 job_timeout: float = 120.0, max_strikes: int = 2,
+                 log=None):
         self.socket_path = Path(socket_path)
         self.state_dir = Path(state_dir) if state_dir is not None \
             else default_state_dir(cache_dir)
@@ -96,11 +96,8 @@ class ExperimentDaemon:
             self.cache_dir = Path(cache_dir) if cache_dir is not None \
                 else default_cache_dir()
         self.workers = workers
-        self.queue_limit = queue_limit
         self.job_timeout = job_timeout
-        self.heartbeat_timeout = heartbeat_timeout
         self.max_strikes = max_strikes
-        self.drain_timeout = drain_timeout
         self._log = log if log is not None \
             else (lambda msg: print(f"repro-serve: {msg}",
                                     file=sys.stderr, flush=True))
@@ -122,7 +119,6 @@ class ExperimentDaemon:
             workers=self.workers,
             cache_dir=self.cache_dir,
             job_timeout=self.job_timeout,
-            heartbeat_timeout=self.heartbeat_timeout,
             max_strikes=self.max_strikes,
             on_done=self._sup_done,
             on_failed=self._sup_failed,
@@ -222,9 +218,7 @@ class ExperimentDaemon:
         if self.supervisor is not None:
             # Blocking drain off the loop: in-flight cells finish and
             # journal through the normal callbacks.
-            await self.loop.run_in_executor(
-                None, lambda: self.supervisor.close(
-                    drain=True, timeout=self.drain_timeout))
+            await self.loop.run_in_executor(None, self.supervisor.close)
         if self.journal is not None:
             self.journal.close()
         with contextlib.suppress(FileNotFoundError):
@@ -320,6 +314,8 @@ class ExperimentDaemon:
         wire_jobs = request.get("jobs")
         if not isinstance(wire_jobs, list):
             raise ProtocolError("submit needs a 'jobs' list")
+        if self._stopping.is_set():
+            return {"ok": False, "error": "daemon is shutting down"}
         replies = []
         for wire_task in wire_jobs:
             task, scale = task_from_wire(wire_task)
@@ -330,11 +326,6 @@ class ExperimentDaemon:
                 # in flight (attach to the running copy), or settled.
                 replies.append({"digest": digest,
                                 "state": self._wire_state(digest, job)})
-                continue
-            if self._stopping.is_set() \
-                    or self.supervisor.queue_depth() >= self.queue_limit:
-                replies.append({"digest": digest, "state": "busy",
-                                "retry_after": 0.5})
                 continue
             self.journal.record_submit(digest, task_to_wire(task, scale))
             self.jobs[digest] = _DaemonJob(task_to_wire(task, scale))
@@ -371,8 +362,6 @@ class ExperimentDaemon:
         return {
             "ok": True,
             "pid": os.getpid(),
-            "queue_depth": self.supervisor.queue_depth(),
-            "queue_limit": self.queue_limit,
             "counts": self.supervisor.counts(),
             "workers": [w.to_dict() for w in
                         self.supervisor.workers_info()],
@@ -383,15 +372,12 @@ class ExperimentDaemon:
 
 def run_daemon(socket_path, state_dir=None, cache_dir=None,
                use_cache: bool = True, workers: int = 2,
-               queue_limit: int = 64, job_timeout: float = 120.0,
-               heartbeat_timeout: float = 15.0, max_strikes: int = 2,
-               drain_timeout: float | None = None) -> int:
+               job_timeout: float = 120.0, max_strikes: int = 2) -> int:
     """Blocking entry point for ``python -m repro serve``."""
     daemon = ExperimentDaemon(
         socket_path, state_dir=state_dir, cache_dir=cache_dir,
-        use_cache=use_cache, workers=workers, queue_limit=queue_limit,
-        job_timeout=job_timeout, heartbeat_timeout=heartbeat_timeout,
-        max_strikes=max_strikes, drain_timeout=drain_timeout)
+        use_cache=use_cache, workers=workers, job_timeout=job_timeout,
+        max_strikes=max_strikes)
     try:
         asyncio.run(daemon.serve())
     except KeyboardInterrupt:

@@ -18,13 +18,13 @@ every crash point:
 * torn or truncated blob → the cache moves it aside as
   ``<digest>.pkl.z.corrupt`` and the job replays as pending.
 
-The same directory is what ``run_grid(checkpoint=...)`` reads and
-writes, so ``repro serve --state DIR`` and ``--checkpoint DIR`` share
-one resume format.  Jobs are keyed by
+The journal is the one durable job state in the repository: a local
+``run_grid`` resumes through the disk cache alone, and quarantine
+verdicts and strike counts outlive a process only under
+``repro serve --state DIR``.  Jobs are keyed by
 :func:`~repro.harness.diskcache.job_digest`, which is salted with the
 package version: entries written by another timing model sit under
-digests no current job has, so ``run_grid`` never matches them and the
-daemon's replay skips them.
+digests no current job has, so the daemon's replay skips them.
 """
 
 from __future__ import annotations
@@ -80,9 +80,6 @@ class JobJournal:
     def record_quarantine(self, digest: str, error: str) -> None:
         self._append({"op": "quarantine", "digest": digest, "error": error})
 
-    def record_unquarantine(self, digest: str) -> None:
-        self._append({"op": "unquarantine", "digest": digest})
-
     # -- reading ------------------------------------------------------------
 
     def load_result(self, digest: str) -> RunResult | None:
@@ -91,14 +88,17 @@ class JobJournal:
     def result_path(self, digest: str) -> Path:
         return self.blobs._path(digest)
 
-    def fold(self) -> dict[str, dict]:
-        """Fold the WAL alone into per-job state, opening no blob::
+    def replay(self) -> dict[str, dict]:
+        """Fold the WAL into per-job state::
 
             digest -> {"task": wire_task, "status": pending|done|quarantined,
                        "strikes": int, "error": str | None}
 
-        A ``done`` here is only the advisory record; callers that act on
-        it load the blob and treat a failed load as pending.
+        A ``done`` is only believed when the result blob actually loads —
+        a record whose blob is missing or corrupt degrades to pending.
+        An ``unquarantine`` record (no longer written, but present in
+        older journals) returns a quarantined job to pending with its
+        strikes cleared.
         """
         jobs: dict[str, dict] = {}
         try:
@@ -129,13 +129,6 @@ class JobJournal:
                     job["status"] = "pending"
                     job["error"] = None
                     job["strikes"] = 0
-        return jobs
-
-    def replay(self) -> dict[str, dict]:
-        """:meth:`fold`, with ``done`` only believed when the result blob
-        actually loads — a record whose blob is missing or corrupt
-        degrades to pending."""
-        jobs = self.fold()
         for digest, job in jobs.items():
             if job["status"] == "done" \
                     and self.load_result(digest) is None:

@@ -11,16 +11,17 @@ Ops (see :mod:`repro.service.daemon` for semantics):
 
 * ``ping`` — liveness + version handshake;
 * ``submit`` — a list of jobs; per-job reply is ``queued``, ``running``,
-  ``done``, ``quarantined``, ``failed``, or ``busy`` (backpressure);
+  ``done``, ``quarantined``, or ``failed`` (a daemon that is shutting
+  down answers ``ok: false`` for the whole submit);
 * ``wait`` — block (bounded) until one job settles;
-* ``status`` — queue/worker/breaker introspection, incl. worker pids
-  (the chaos campaign SIGKILLs those) and a ``GridReport`` dict;
+* ``status`` — per-state job counts, worker introspection incl. pids
+  (the chaos campaign SIGKILLs those), and a ``GridReport`` dict;
 * ``shutdown`` — graceful drain-and-exit.
 
 A job is identified by :func:`repro.harness.diskcache.job_digest`: a
 hash of abbr, technique, scale and the full ``GPUConfig``, salted with
-the package version — the same key ``run_grid(checkpoint=...)`` uses, so
-a journal directory doubles as a checkpoint.  :func:`task_to_wire` /
+the package version, so a journal written by another timing model
+never answers for the current one.  :func:`task_to_wire` /
 :func:`task_from_wire` are the one JSON form of a task; ``GridReport``
 uses them too.
 """

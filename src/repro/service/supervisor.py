@@ -57,6 +57,8 @@ TIMED_OUT = "exceeded job_timeout"
 START_METHOD = "spawn"
 #: Seconds between worker heartbeat stamps.
 HEARTBEAT_INTERVAL = 0.25
+#: Seconds without a heartbeat stamp before the watchdog kills a worker.
+HEARTBEAT_TIMEOUT = 15.0
 #: Seconds the dispatch loop waits for worker messages per round.
 POLL_INTERVAL = 0.1
 
@@ -213,13 +215,11 @@ class Supervisor:
 
     def __init__(self, workers: int = 2, cache_dir=None,
                  job_timeout: float | None = 120.0,
-                 heartbeat_timeout: float = 15.0,
                  max_strikes: int = 2,
                  on_done=None, on_failed=None, on_strike=None,
                  on_retry=None, on_quarantined=None):
         self._ctx = mp.get_context(START_METHOD)
         self.job_timeout = job_timeout
-        self.heartbeat_timeout = heartbeat_timeout
         self.max_strikes = max_strikes
         self.on_done = on_done
         self.on_failed = on_failed
@@ -270,19 +270,6 @@ class Supervisor:
         with self._lock:
             job = self._jobs.get(digest)
             return job.state if job else None
-
-    def job_error(self, digest: str) -> tuple[str | None, str | None, dict | None]:
-        with self._lock:
-            job = self._jobs.get(digest)
-            if job is None:
-                return None, None, None
-            return job.error_kind, job.error, job.hang
-
-    def queue_depth(self) -> int:
-        """Jobs admitted but not yet settled — the backpressure signal."""
-        with self._lock:
-            return sum(1 for j in self._jobs.values()
-                       if j.state in (QUEUED, RUNNING))
 
     def counts(self) -> dict[str, int]:
         with self._lock:
@@ -368,7 +355,7 @@ class Supervisor:
         with self._lock:
             for worker in self._workers:
                 dead = not worker.proc.is_alive()
-                frozen = worker.heartbeat_age(now) > self.heartbeat_timeout
+                frozen = worker.heartbeat_age(now) > HEARTBEAT_TIMEOUT
                 wedged = (self.job_timeout is not None
                           and worker.job is not None
                           and worker.busy_since is not None
@@ -409,18 +396,16 @@ class Supervisor:
 
     # -- shutdown -----------------------------------------------------------
 
-    def drain(self, timeout: float | None = None) -> bool:
+    def drain(self) -> bool:
         """Stop dispatching queued work and wait for the *in-flight*
         cells to settle (they land in the journal via ``on_done``);
         queued-but-unstarted jobs stay journaled as pending for the next
-        daemon generation.  Returns whether the pool drained in time
-        (``timeout`` defaults to ``job_timeout + 5``; unbounded when both
-        are ``None``)."""
+        daemon generation.  Returns whether the pool drained within
+        ``job_timeout + 5`` seconds (unbounded without a job timeout)."""
         with self._lock:
             self._draining = True
-        if timeout is None and self.job_timeout is not None:
-            timeout = self.job_timeout + 5.0
-        deadline = None if timeout is None else time.time() + timeout
+        deadline = None if self.job_timeout is None \
+            else time.time() + self.job_timeout + 5.0
         while deadline is None or time.time() < deadline:
             with self._lock:
                 if all(w.job is None for w in self._workers):
@@ -428,9 +413,8 @@ class Supervisor:
             time.sleep(0.05)
         return False
 
-    def close(self, drain: bool = True,
-              timeout: float | None = None) -> bool:
-        drained = self.drain(timeout) if drain else False
+    def close(self, drain: bool = True) -> bool:
+        drained = self.drain() if drain else False
         self._stop.set()
         self._thread.join(timeout=5.0)
         for worker in self._workers:

@@ -44,17 +44,27 @@ class TestParser:
 
     def test_service_flags(self):
         args = build_parser().parse_args(
-            ["compare", "CP", "--retry-quarantined",
-             "--service", "/tmp/d.sock"])
-        assert args.retry_quarantined
-        assert args.service == "/tmp/d.sock"
+            ["compare", "CP", "--service", "/tmp/d.sock"])
+        assert args.service == "/tmp/d.sock" and not args.no_service
         args = build_parser().parse_args(["compare", "CP", "--no-service"])
-        assert args.no_service and not args.retry_quarantined
+        assert args.no_service and args.service is None
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--queue-limit", "1"],
+        ["serve", "--heartbeat-timeout", "5"],
+        ["serve", "--drain-timeout", "5"],
+        ["figures", "--checkpoint", "D"],
+        ["compare", "CP", "--retry-quarantined"]],
+        ids=["queue-limit", "heartbeat-timeout", "drain-timeout",
+             "checkpoint", "retry-quarantined"])
+    def test_retired_flags_are_errors(self, argv):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.socket is None and args.state is None
-        assert args.queue_limit == 64
         assert args.timeout == 120.0
         assert args.strikes == 2
         args = build_parser().parse_args(
@@ -62,6 +72,28 @@ class TestParser:
              "--timeout", "5", "--strikes", "1", "--no-cache"])
         assert args.socket == "/tmp/d.sock"
         assert args.workers == 3 and args.no_cache
+
+    def test_serve_listens_next_to_its_cache_dir(self, tmp_path,
+                                                 monkeypatch):
+        """``serve --cache-dir X`` without ``--socket`` listens on
+        ``X/service.sock``, where a client configured with the same
+        cache looks for it."""
+        from repro.harness.client import SOCKET_ENV
+        from repro.service import daemon
+
+        monkeypatch.delenv(SOCKET_ENV, raising=False)
+        calls = []
+
+        def fake_run_daemon(socket_path, **kwargs):
+            calls.append((socket_path, kwargs))
+            return 0
+
+        monkeypatch.setattr(daemon, "run_daemon", fake_run_daemon)
+        assert main(["serve", "--cache-dir", str(tmp_path / "x"),
+                     "--workers", "1"]) == 0
+        (socket_path, kwargs), = calls
+        assert socket_path == tmp_path / "x" / "service.sock"
+        assert kwargs["cache_dir"] == str(tmp_path / "x")
 
 
 class TestCommands:

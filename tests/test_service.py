@@ -1,24 +1,33 @@
 """Units of the experiment service below the daemon: wire protocol,
 chaos directives, write-ahead journal replay, lossless wire forms of
-``SimulationHang``/``GridReport``, and the supervised worker pool.
+``SimulationHang``/``GridReport``, the daemon's submit handling and the
+client's routing against stand-ins, and the supervised worker pool.
 
 The supervisor tests spawn real worker processes and are marked
 ``resilience``; everything else is pure and fast.  The full daemon —
-socket, backpressure, crash/restart — is exercised end-to-end in
+socket, crash/restart — is exercised end-to-end in
 ``test_service_chaos.py``.
 """
 
+import asyncio
 import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.config import GPUConfig
 from repro.faults import chaos
 from repro.harness import clear_cache, configure_cache, experiment_config
-from repro.harness import diskcache, runner
-from repro.harness.parallel import GridReport
+from repro.harness import client, diskcache, runner
+from repro.harness.client import (
+    SOCKET_ENV,
+    ServiceClient,
+    ServiceUnavailable,
+    default_socket_path,
+)
+from repro.harness.parallel import GridReport, run_grid
 from repro.service.journal import JobJournal
 from repro.service.protocol import (
     ProtocolError,
@@ -41,6 +50,7 @@ def _no_disk_cache():
     clear_cache()
     configure_cache(enabled=False)
     yield
+    configure_cache(enabled=False)
     clear_cache()
 
 
@@ -208,9 +218,6 @@ class _StubSupervisor:
     def submit(self, digest, task, scale, strikes=0):
         self.submitted.append((digest, task, scale))
 
-    def queue_depth(self):
-        return len(self.submitted)
-
     def state(self, digest):
         return "queued"
 
@@ -231,7 +238,9 @@ class TestJournal:
             assert job["status"] == "quarantined"
             assert job["error"] == "breaker tripped"
 
-            journal.record_unquarantine(digest)
+            # No longer written, but journals from older versions carry
+            # it: it returns the job to pending with its strikes cleared.
+            journal._append({"op": "unquarantine", "digest": digest})
             job = journal.replay()[digest]
             assert job["status"] == "pending" and job["strikes"] == 0
 
@@ -309,23 +318,6 @@ class TestJournal:
         assert reply["jobs"] == [{"digest": fresh, "state": "queued"}]
         assert [d for d, _t, _s in daemon.supervisor.submitted] == [fresh]
 
-    def test_journal_dir_is_a_run_grid_checkpoint(self, tmp_path):
-        """The daemon's journal directory doubles as a ``run_grid``
-        checkpoint: a grid pointed at it resumes the daemon's work."""
-        from repro.harness.parallel import run_grid
-
-        digest = job_digest(TASK, SCALE)
-        with JobJournal(tmp_path) as journal:
-            result = runner.run_one(*TASK[:2], SCALE, CFG, use_cache=False)
-            journal.record_done(digest, result)
-        clear_cache()
-        report = GridReport()
-        results = run_grid([TASK], SCALE, jobs=1, use_cache=False,
-                           checkpoint=tmp_path, report=report,
-                           service=False)
-        assert report.resumed == 1 and report.completed == 0
-        assert results[TASK].cycles == result.cycles
-
     def test_daemon_replay_quarantines_undecodable_submit(self, tmp_path):
         """A submit record whose config carries a retired field (here the
         former ``datapath`` knob) is quarantined with the decode error and
@@ -382,6 +374,152 @@ class TestJournal:
 
 
 # ---------------------------------------------------------------------------
+# Daemon submit handling and client routing (stand-ins, no processes)
+
+
+def _stub_daemon(tmp_path):
+    """A daemon with an open journal and a stub pool, never started."""
+    from repro.service.daemon import ExperimentDaemon
+
+    daemon = ExperimentDaemon(tmp_path / "sock", state_dir=tmp_path,
+                              use_cache=False, log=lambda msg: None)
+    daemon.journal = JobJournal(tmp_path)
+    daemon.supervisor = _StubSupervisor()
+    return daemon
+
+
+class _LoopbackClient(ServiceClient):
+    """A client wired straight to a daemon's request handler."""
+
+    def __init__(self, daemon):
+        self.socket_path = daemon.socket_path
+        self.daemon = daemon
+
+    def request(self, payload):
+        return asyncio.run(self.daemon._dispatch(payload))
+
+    def close(self):
+        pass
+
+
+class _DyingClient(ServiceClient):
+    """Delivers the cells whose result blobs it holds, then loses the
+    daemon on the next wait."""
+
+    def __init__(self, blobs):
+        self.socket_path = Path("stub.sock")
+        self.blobs = blobs                     # digest -> blob path
+
+    def submit(self, tasks, scale):
+        return [{"digest": job_digest(task, scale), "state": "queued"}
+                for task in tasks]
+
+    def wait(self, digest, timeout=30.0):
+        if digest not in self.blobs:
+            raise ServiceUnavailable("daemon went away")
+        return {"ok": True, "digest": digest, "state": "done",
+                "result_path": str(self.blobs.pop(digest))}
+
+    def close(self):
+        pass
+
+
+def _count_local_runs(monkeypatch) -> list:
+    """Record the abbr of every cell ``run_grid`` runs in this process."""
+    ran = []
+    real = runner.run_one
+
+    def spy(abbr, *args, **kwargs):
+        ran.append(abbr)
+        return real(abbr, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_one", spy)
+    return ran
+
+
+class TestDaemonSubmit:
+    def test_every_submitted_job_is_admitted(self, tmp_path):
+        """One submit of more jobs than any queue bound answers
+        ``queued`` for each of them."""
+        from repro.workloads import ALL_BENCHMARKS
+
+        tasks = [(bench.abbr, technique, CFG) for bench in ALL_BENCHMARKS
+                 for technique in runner.TECHNIQUES]
+        assert len(tasks) == 116
+        daemon = _stub_daemon(tmp_path)
+        try:
+            reply = daemon._op_submit(
+                {"jobs": [task_to_wire(task, SCALE) for task in tasks]})
+        finally:
+            daemon.journal.close()
+        assert reply["ok"]
+        assert [job["state"] for job in reply["jobs"]] == \
+            ["queued"] * len(tasks)
+        assert len(daemon.supervisor.submitted) == len(tasks)
+        assert daemon.report.total == len(tasks)
+
+    def test_submit_while_stopping_is_rejected_and_runs_locally(
+            self, tmp_path, monkeypatch):
+        daemon = _stub_daemon(tmp_path)
+        daemon._stopping.set()
+        try:
+            reply = daemon._op_submit({"jobs": [task_to_wire(TASK, SCALE)]})
+            assert reply["ok"] is False and "shutting down" in reply["error"]
+            assert daemon.supervisor.submitted == []
+
+            monkeypatch.setattr(client, "try_connect",
+                                lambda path: _LoopbackClient(daemon))
+            ran = _count_local_runs(monkeypatch)
+            report = GridReport()
+            results = run_grid([TASK], SCALE, jobs=1, use_cache=False,
+                               report=report)
+        finally:
+            daemon.journal.close()
+        assert set(results) == {TASK}
+        assert ran == ["CP"] and report.completed == 1
+        assert daemon.supervisor.submitted == []
+
+
+class TestClientRouting:
+    def test_default_socket_sits_next_to_the_cache(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.delenv(SOCKET_ENV, raising=False)
+        assert default_socket_path(tmp_path / "c") == \
+            tmp_path / "c" / "service.sock"
+        monkeypatch.setenv(SOCKET_ENV, str(tmp_path / "env.sock"))
+        assert default_socket_path(tmp_path / "c") == tmp_path / "env.sock"
+
+    def test_run_grid_looks_for_the_daemon_next_to_its_cache(
+            self, tmp_path, monkeypatch):
+        monkeypatch.delenv(SOCKET_ENV, raising=False)
+        configure_cache(tmp_path / "c")
+        asked = []
+        monkeypatch.setattr(client, "try_connect",
+                            lambda path: asked.append(Path(path)))
+        run_grid([TASK], SCALE, jobs=1, use_cache=False)
+        assert asked == [tmp_path / "c" / "service.sock"]
+
+    def test_daemon_dying_mid_grid_keeps_delivered_cells(self, tmp_path,
+                                                         monkeypatch):
+        """A cell the daemon delivered before it died is settled; only
+        the undelivered cell runs on the local pool."""
+        served = runner.run_one(*TASK[:2], SCALE, CFG, use_cache=False)
+        blob = tmp_path / "served.pkl.z"
+        blob.write_bytes(diskcache.encode_result(served))
+        other = ("ST", "baseline", CFG)
+        stub = _DyingClient({job_digest(TASK, SCALE): blob})
+        monkeypatch.setattr(client, "try_connect", lambda path: stub)
+        ran = _count_local_runs(monkeypatch)
+        report = GridReport()
+        results = run_grid([TASK, other], SCALE, jobs=1, use_cache=False,
+                           report=report)
+        assert ran == ["ST"]
+        assert set(results) == {TASK, other}
+        assert results[TASK].stats.as_dict() == served.stats.as_dict()
+        assert report.completed == 2
+
+
+# ---------------------------------------------------------------------------
 # Supervised worker pool (real processes)
 
 
@@ -414,8 +552,9 @@ def test_supervisor_completes_grid_and_dedups():
         assert sup.submit(digests[0], tasks[0], SCALE) in \
             ("queued", "running", "done")
         _wait_until(lambda: len(done) == len(tasks))
-        assert sup.queue_depth() == 0
-        assert sup.counts()["done"] == len(tasks)
+        counts = sup.counts()
+        assert counts["queued"] == counts["running"] == 0
+        assert counts["done"] == len(tasks)
         for digest, task in zip(digests, tasks):
             ref = runner.run_one(*task[:2], SCALE, task[2],
                                  use_cache=False)
@@ -439,7 +578,6 @@ def test_supervisor_propagates_deterministic_failure():
         assert kind == "KeyError" and "NOPE" in message
         assert hang is None
         assert sup.state(digest) == "failed"
-        assert sup.job_error(digest)[0] == "KeyError"
     finally:
         sup.close()
 

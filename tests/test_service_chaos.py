@@ -89,7 +89,7 @@ def svc():
 
 
 def start_daemon(svc, *, workers=2, timeout=60.0, strikes=2,
-                 chaos_spec=None, queue_limit=64):
+                 chaos_spec=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["REPRO_CHAOS_LOG"] = str(svc.log)
@@ -102,8 +102,7 @@ def start_daemon(svc, *, workers=2, timeout=60.0, strikes=2,
         [sys.executable, "-m", "repro", "serve",
          "--socket", str(svc.sock), "--state", str(svc.state),
          "--cache-dir", str(svc.cache), "--workers", str(workers),
-         "--timeout", str(timeout), "--strikes", str(strikes),
-         "--queue-limit", str(queue_limit)],
+         "--timeout", str(timeout), "--strikes", str(strikes)],
         env=env, stdout=stderr, stderr=stderr)
     stderr.close()
     svc.procs.append(proc)
@@ -405,27 +404,4 @@ def test_run_grid_skips_a_daemon_of_another_version(svc, monkeypatch):
             client.wait(job_digest(GRID[0], SCALE), timeout=0.1)
         with pytest.raises(ServiceUnavailable):
             client.run_tasks(GRID[:1], SCALE)
-    assert stop_daemon(svc, proc) == 0
-
-
-# ---------------------------------------------------------------------------
-# Backpressure: bounded queue answers busy, client backoff recovers
-
-
-def test_bounded_queue_reports_busy_and_recovers(svc):
-    proc = start_daemon(svc, workers=1, queue_limit=2,
-                        chaos_spec="delay:*/*:0.5")
-    with ServiceClient(svc.sock) as client:
-        replies = client.submit(GRID, SCALE)
-        states = Counter(reply["state"] for reply in replies)
-        assert states["queued"] == 2          # bounded admission
-        assert states["busy"] == 2
-        busy = [r for r in replies if r["state"] == "busy"]
-        assert all(r["retry_after"] > 0 for r in busy)
-
-        # The client-side backoff loop drains the rest through the same
-        # bounded queue.
-        results, quarantined, failures = client.run_tasks(GRID, SCALE)
-        assert quarantined == [] and failures == {}
-        assert set(results) == set(GRID)
     assert stop_daemon(svc, proc) == 0
