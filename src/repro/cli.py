@@ -25,8 +25,8 @@ Commands:
 * ``serve`` — the supervised experiment daemon for concurrent clients on
   one host: journaled jobs over a unix socket (the one durable job
   state), worker heartbeats + watchdog respawn, per-workload circuit
-  breakers, graceful drain; simulating commands route through a running
-  daemon automatically (``--service``/``--no-service``).
+  breakers, graceful drain; ``compare`` and ``figures`` route their grids
+  through a running daemon automatically (``--service``/``--no-service``).
 """
 
 from __future__ import annotations
@@ -70,17 +70,22 @@ from .workloads import (
 )
 
 
-def _add_harness_args(parser) -> None:
-    """Flags shared by the commands that simulate: parallelism and the
-    persistent result cache (see EXPERIMENTS.md)."""
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="fan simulations out over N worker processes")
+def _add_cache_args(parser) -> None:
+    """Flags shared by the commands that simulate: the persistent result
+    cache (see EXPERIMENTS.md)."""
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent result cache location "
                              "(default: $REPRO_CACHE_DIR or "
                              "~/.cache/repro-dac)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the persistent result cache")
+
+
+def _add_grid_args(parser) -> None:
+    """Flags of the commands that simulate a grid of cells: parallelism,
+    its hardening, and routing through the experiment daemon."""
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="fan simulations out over N worker processes")
     parser.add_argument("--timeout", type=float, default=None, metavar="S",
                         help="per-simulation wall-clock bound in seconds "
                              "(parallel runs only); expired cells are "
@@ -108,12 +113,12 @@ def _configure_harness(args) -> bool:
 
 
 def _service_arg(args):
-    """The ``service`` value for run_grid/run_suite from the shared
-    flags: ``False`` disables routing, a path pins a daemon, ``None``
+    """The ``service`` value for run_grid/run_suite from the grid flags:
+    ``False`` disables routing, a path pins a daemon, ``None``
     auto-detects."""
-    if getattr(args, "no_service", False):
+    if args.no_service:
         return False
-    return getattr(args, "service", None)
+    return args.service
 
 
 def _cmd_list(args) -> int:
@@ -349,7 +354,6 @@ def _cmd_serve(args) -> int:
         socket_path,
         state_dir=args.state,
         cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
         workers=args.workers or default_jobs(),
         job_timeout=args.timeout,
         max_strikes=args.strikes,
@@ -525,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="dump raw counters (optionally a prefix)")
     run.add_argument("--profile", action="store_true",
                      help="print derived metrics (hit rates, utilization)")
-    _add_harness_args(run)
+    _add_cache_args(run)
     run.set_defaults(func=_cmd_run)
 
     compare = sub.add_parser("compare",
@@ -534,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--scale", default="tiny",
                          choices=("tiny", "paper"))
     compare.add_argument("--sms", type=int, default=4)
-    _add_harness_args(compare)
+    _add_cache_args(compare)
+    _add_grid_args(compare)
     compare.set_defaults(func=_cmd_compare)
 
     trace = sub.add_parser(
@@ -573,7 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     figs.add_argument("figure", nargs="?", default="all")
     figs.add_argument("--scale", default="tiny", choices=("tiny", "paper"))
     figs.add_argument("--sms", type=int, default=4)
-    _add_harness_args(figs)
+    _add_cache_args(figs)
+    _add_grid_args(figs)
     figs.set_defaults(func=_cmd_figures)
 
     faults = sub.add_parser(
@@ -614,11 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="supervised worker processes "
                             "(default: $REPRO_JOBS or cpu count)")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="shared content-hash result cache "
-                            "(default: $REPRO_CACHE_DIR or "
-                            "~/.cache/repro-dac)")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="disable the shared disk cache")
+                       help="shared content-hash result cache, the "
+                            "daemon's only result store (default: "
+                            "$REPRO_CACHE_DIR or ~/.cache/repro-dac)")
     serve.add_argument("--timeout", type=float, default=120.0,
                        metavar="S",
                        help="per-cell wall-clock bound; a worker past it "

@@ -30,8 +30,8 @@ daemon subprocesses, restarts) without monkeypatching:
 
 ``REPRO_CHAOS_LOG``
     Append ``abbr/technique\\n`` per *actual* simulation (a single
-    ``O_APPEND`` write, atomic at this size on POSIX).  Cache and
-    journal hits never log — which is exactly how the chaos campaign
+    ``O_APPEND`` write, atomic at this size on POSIX).  Cache hits
+    never log — which is exactly how the chaos campaign
     proves that replayed cells were not re-simulated.
 
 Everything is a no-op when the variables are unset: the directives are
@@ -187,7 +187,7 @@ def install_from_env() -> bool:
     no-op (and cheap) when ``REPRO_CHAOS``/``REPRO_CHAOS_LOG`` are unset.
 
     The wrapper sits *below* the caches on purpose: a cell answered from
-    the disk cache or the journal never fires chaos and never logs,
+    the disk cache never fires chaos and never logs,
     so the log is a census of genuine re-simulations.
     """
     global _ENV_DIRECTIVES, _installed

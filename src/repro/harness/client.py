@@ -1,19 +1,18 @@
 """Thin synchronous client for the experiment daemon.
 
-``run_grid`` (and therefore every CLI command, figure driver, and bench)
-routes through a running daemon *transparently*: if the service socket
-answers a ping, pending cells are submitted over it and the results are
-read back out of the daemon's journal blobs by ``result_path`` (client
-and daemon share a filesystem — that is what a unix socket means — so
-result blobs never ride the wire, only their paths; a missing or
-corrupt blob raises :class:`ServiceUnavailable`).  Every submit is
-admitted; a daemon that is shutting down rejects it outright.  If no
-daemon is up, one of another package version answers the ping, one
-rejects the submit, or one dies mid-grid, the cells it has not delivered
-fall back to the local pool — the same supervised pool
-(:class:`repro.service.supervisor.Supervisor`) the daemon runs, driven
-in-process; the daemon is an accelerator, never a dependency.  Either
-way a deterministic in-task failure raises :class:`RemoteTaskError`.
+``run_grid`` routes through a running daemon *transparently*: if the
+service socket answers a ping, pending cells are submitted over it, and
+each cell the daemon reports ``done`` is loaded from the disk cache the
+``ping`` reply names (client and daemon share a filesystem, so results
+never ride the wire) by :func:`~repro.harness.diskcache.cache_key` of
+the launch this process builds — the key a local run uses, so a daemon
+that ran other code under the same job name cannot answer for it.  The
+cells a daemon does not deliver (none is up, it is of another version,
+it rejects the submit or dies mid-grid, or the cache misses) run on the
+local pool: the same supervised pool
+(:class:`repro.service.supervisor.Supervisor`) driven in-process; the
+daemon is an accelerator, never a dependency.  Either way a
+deterministic in-task failure raises :class:`RemoteTaskError`.
 """
 
 from __future__ import annotations
@@ -23,9 +22,10 @@ import socket
 import sys
 from pathlib import Path
 
-from ..sim.gpu import RunResult, SimulationHang
+from ..sim.gpu import SimulationHang
+from ..workloads import get
 from . import diskcache
-from .diskcache import decode_result, default_cache_dir, job_digest
+from .diskcache import DiskCache, cache_key, default_cache_dir, job_digest
 
 SOCKET_ENV = "REPRO_SERVICE_SOCKET"
 
@@ -97,10 +97,12 @@ class ServiceClient:
 
     def ping(self) -> dict:
         """Liveness and version handshake.  A daemon of another package
-        version salts its job digests differently, so its results can
-        never be matched to this client's cells: treat it as absent."""
+        version salts its job digests differently, and one that names no
+        disk cache keeps results where this client cannot look them up:
+        treat either as absent."""
         response = self.request({"op": "ping"})
-        if not response.get("ok") or response.get("op") != "pong":
+        if not response.get("ok") or response.get("op") != "pong" \
+                or "cache" not in response:
             raise ServiceUnavailable(f"bad ping response: {response}")
         if response.get("repro") != diskcache.__version__:
             raise ServiceUnavailable(
@@ -133,18 +135,6 @@ class ServiceClient:
             raise ServiceUnavailable(f"wait rejected: {response}")
         return response
 
-    def load_result(self, response: dict) -> RunResult:
-        """Materialize a ``done`` wait-reply: decode the daemon's atomic
-        journal blob at ``result_path`` (shared filesystem)."""
-        path = response.get("result_path")
-        if path:
-            try:
-                return decode_result(Path(path).read_bytes())
-            except (OSError, ValueError):
-                pass
-        raise ServiceUnavailable(
-            f"done job {response.get('digest')} has no readable result")
-
     def close(self) -> None:
         try:
             self._file.close()
@@ -166,10 +156,12 @@ class ServiceClient:
         Returns ``(results, quarantined, failures)`` where ``results``
         maps tasks to :class:`RunResult`; quarantined cells come back as
         partial results, deterministic failures raise
-        :class:`RemoteTaskError`.  ``progress(task, result)`` fires as
-        each cell is delivered, so a caller that settles cells there
-        keeps them even if the daemon dies before the grid completes.
+        :class:`RemoteTaskError`, and a ``done`` cell whose content key
+        misses in the daemon's cache is in none of the three.
+        ``progress(task, result)`` fires as each cell is delivered, so a
+        caller that settles cells there keeps them if the daemon dies.
         """
+        cache = DiskCache(self.ping()["cache"])
         tasks = list(tasks)
         pending = {job_digest(task, scale): task for task in tasks}
         for reply in self.submit(tasks, scale):
@@ -186,9 +178,14 @@ class ServiceClient:
                 state = reply.get("state")
                 if state == "done":
                     task = pending.pop(digest)
-                    results[task] = self.load_result(reply)
+                    abbr, technique, config = task
+                    result = cache.load(cache_key(
+                        get(abbr).launch(scale), technique, config))
+                    if result is None:
+                        continue
+                    results[task] = result
                     if progress is not None:
-                        progress(task, results[task])
+                        progress(task, result)
                 elif state == "quarantined":
                     task = pending.pop(digest)
                     quarantined.append(task)
@@ -223,9 +220,8 @@ def try_connect(socket_path=None,
 
 
 def run_tasks_via_service(pending, service, grid) -> list:
-    """``run_grid``'s routing hook: try the daemon for ``pending``;
-    whatever it did not deliver (no daemon, a rejected submit, a daemon
-    that died mid-grid) is returned for the local pool.  Each delivered
+    """``run_grid``'s routing hook: try the daemon for ``pending`` and
+    return what it did not deliver for the local pool.  Each delivered
     cell is settled on ``grid`` as it arrives, exactly as local ones are.
     ``service`` is a socket path, or ``None``/``True`` for the default
     socket next to the configured disk cache."""
@@ -239,12 +235,17 @@ def run_tasks_via_service(pending, service, grid) -> list:
         return pending
     try:
         with client:
-            _served, quarantined, failures = client.run_tasks(
-                pending, grid.scale, progress=grid.finish)
+            failures = client.run_tasks(pending, grid.scale,
+                                        progress=grid.finish)[2]
     except ServiceUnavailable as exc:
         print(f"repro: service at {client.socket_path}: {exc}; "
               f"falling back to the local pool", file=sys.stderr)
         return [task for task in pending if task not in grid.results]
-    for task in quarantined:
-        grid.quarantine(task, failures[task])
-    return []
+    for task, error in failures.items():
+        grid.quarantine(task, error)
+    missed = [task for task in pending
+              if task not in grid.results and task not in failures]
+    if missed:
+        print(f"repro: {len(missed)} served cell(s) missed the cache; "
+              f"running them locally", file=sys.stderr)
+    return missed

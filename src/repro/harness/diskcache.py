@@ -20,10 +20,15 @@ Entries are zlib-compressed pickles written atomically (temp file +
 ``os.replace``), so concurrent writers — e.g. the parallel executor's
 workers — can never leave a torn entry behind; a corrupt or unreadable
 entry reads as a miss and is moved aside.  :func:`encode_result` /
-:func:`decode_result` are the one result codec (worker pipe, service
-client and job journal use it too), and :func:`job_digest` — salted like
-:func:`cache_key` — is the one job identity of the daemon, its journal
-and the supervised pool.
+:func:`decode_result` are the one result codec (the worker pipe uses it
+too), and :func:`job_digest` — salted like :func:`cache_key` — is the
+one job identity of the daemon, its journal and the supervised pool.
+
+This store is also the experiment daemon's only result store: its
+workers write here, and a client reads a served cell back by
+:func:`cache_key` of the launch it builds itself, so a result is only
+ever served for the exact kernel, inputs and config that produced it.
+A job digest names a cell; it never locates a result.
 
 A blob pickles the whole :class:`RunResult`: cycles, Stats, config and
 the ``extra`` payloads readers open (``memory_words``, ``stalls``, and
@@ -85,7 +90,8 @@ def cache_key(launch: KernelLaunch, technique: str,
 
 def job_digest(task, scale: str) -> str:
     """Identity of one ``(abbr, technique, GPUConfig)`` grid cell at
-    ``scale``: the job journal's key and its blobs' file names."""
+    ``scale``: the job journal's key.  It names the cell, not its
+    content, so no result is ever looked up by it."""
     abbr, technique, config = task
     h = _salted_sha256()
     h.update(json.dumps([abbr, technique, scale, dataclasses.asdict(config)],

@@ -152,7 +152,13 @@ def run_benchmark(abbr: str, scale: str = "paper",
                   techniques=TECHNIQUES) -> dict[str, RunResult]:
     """All requested techniques for one benchmark, with a functional
     cross-check: every technique must produce the identical memory image."""
-    results = {t: run_one(abbr, t, scale, config) for t in techniques}
+    return _cross_check(abbr, {t: run_one(abbr, t, scale, config)
+                               for t in techniques})
+
+
+def _cross_check(abbr: str,
+                 results: dict[str, RunResult]) -> dict[str, RunResult]:
+    """Every technique must leave the baseline's memory image."""
     if "baseline" in results:
         ref = results["baseline"].extra["memory_words"]
         for tech, res in results.items():
@@ -172,23 +178,26 @@ def run_suite(abbrs, scale: str = "paper",
     """Run the (benchmark × technique) grid.
 
     With ``jobs > 1`` the grid is fanned out over worker processes first
-    (falling back to serial on worker failure); results land in the memo
-    and disk caches, so the per-benchmark assembly below is all hits.
+    (falling back to serial on worker failure) and assembled from the
+    cells it returns; only a quarantined cell runs again here.
     ``timeout``/``retries`` harden the parallel fan-out, and ``service``
     routes it through a running experiment daemon — see
     :func:`repro.harness.parallel.run_grid`.
     """
     config = config or experiment_config()
     abbrs = list(abbrs)
+    grid: dict = {}
     if jobs and jobs > 1:
         from .parallel import run_grid
-        run_grid([(abbr, tech, config) for abbr in abbrs
-                  for tech in techniques],
-                 scale, jobs=jobs, use_cache=use_cache,
-                 timeout=timeout, retries=retries, service=service)
+        grid = run_grid([(abbr, tech, config) for abbr in abbrs
+                         for tech in techniques],
+                        scale, jobs=jobs, use_cache=use_cache,
+                        timeout=timeout, retries=retries, service=service)
     out = {}
     for abbr in abbrs:
-        out[abbr] = run_benchmark(abbr, scale, config, techniques)
+        out[abbr] = _cross_check(abbr, {
+            t: grid.get((abbr, t, config)) or run_one(abbr, t, scale, config)
+            for t in techniques})
         if progress is not None:
             progress(abbr, out[abbr])
     return out

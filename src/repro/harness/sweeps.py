@@ -63,17 +63,21 @@ def sweep(benchmark: str, knob: str, values, config: GPUConfig,
     from .runner import run_one
 
     variants = [override(config, knob, value) for value in values]
+    grid: dict = {}
     if jobs and jobs > 1:
         from .parallel import run_grid
-        run_grid([(benchmark, "baseline", config)]
-                 + [(benchmark, technique, v) for v in variants],
-                 scale, jobs=jobs, use_cache=use_cache)
-    base = run_one(benchmark, "baseline", scale, config,
-                   use_cache=use_cache)
+        grid = run_grid([(benchmark, "baseline", config)]
+                        + [(benchmark, technique, v) for v in variants],
+                        scale, jobs=jobs, use_cache=use_cache)
+
+    def cell(tech: str, cfg: GPUConfig):
+        return grid.get((benchmark, tech, cfg)) \
+            or run_one(benchmark, tech, scale, cfg, use_cache=use_cache)
+
+    base = cell("baseline", config)
     points = []
     for value, variant in zip(values, variants):
-        result = run_one(benchmark, technique, scale, variant,
-                         use_cache=use_cache)
+        result = cell(technique, variant)
         points.append(SweepPoint(
             value=value, cycles=result.cycles,
             speedup=base.cycles / result.cycles,

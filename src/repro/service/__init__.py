@@ -20,9 +20,10 @@ drastic:
 
 A write-ahead journal (:mod:`repro.service.journal`) makes the daemon
 itself crash-tolerant: every submitted job is journaled before it runs,
-every finished cell's result blob is committed atomically, and a
-restarted daemon replays the journal — completed cells answer instantly,
-pending ones re-enter the queue.
+every finished cell's result is stored atomically in the content-keyed
+disk cache (the daemon's only result store), and a restarted daemon
+replays the journal — completed cells answer instantly, pending ones
+re-enter the queue.
 """
 
 from .journal import JobJournal

@@ -6,8 +6,10 @@ concurrent clients simulate each shared cell once.  The journal is the
 one durable job state: strike counts and quarantine verdicts outlive a
 process only here.  The daemon itself holds no state a crash can lose:
 job identity and completion live in the write-ahead journal
-(:mod:`repro.service.journal`), results live in atomic blobs, and a
-restarted daemon replays all of it before accepting connections.
+(:mod:`repro.service.journal`), results live only in the content-keyed
+disk cache its workers write (the ``ping`` reply names its root, and
+clients read results from it), and a restarted daemon replays the
+journal before accepting connections.
 
 Request handling is deliberately thin: the event loop only parses
 frames, journals submissions, and parks waiters on events; everything
@@ -15,10 +17,9 @@ heavy (simulation, supervision, watchdog kills) happens in the worker
 pool and its supervisor thread, which reports back via
 ``loop.call_soon_threadsafe``.
 
-Every submission is admitted.  The daemon serves a few concurrent
-clients on one host that share one cache; a submit that arrives while it
-is shutting down is rejected with ``{"ok": false, "error": ...}``, and
-the client runs those cells on its local pool.
+Every submission is admitted; one that arrives while the daemon is
+shutting down is rejected with ``{"ok": false, "error": ...}``, and the
+client runs those cells on its local pool.
 
 Shutdown (SIGTERM/SIGINT or the ``shutdown`` op) is graceful: the
 listener closes, in-flight cells drain to the journal (for at most
@@ -57,17 +58,6 @@ INFLIGHT, DONE, FAILED, QUARANTINED = \
     "inflight", "done", "failed", "quarantined"
 
 
-def default_state_dir(cache_dir=None) -> Path:
-    """Journal location: ``$REPRO_SERVICE_STATE`` or a ``service``
-    directory next to the disk cache (``cache_dir`` if given, else the
-    default one)."""
-    env = os.environ.get("REPRO_SERVICE_STATE")
-    if env:
-        return Path(env).expanduser()
-    base = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    return base / "service"
-
-
 class _DaemonJob:
     __slots__ = ("wire_task", "state", "error", "error_kind", "hang",
                  "event")
@@ -85,16 +75,18 @@ class _DaemonJob:
 
 class ExperimentDaemon:
     def __init__(self, socket_path, state_dir=None, cache_dir=None,
-                 use_cache: bool = True, workers: int = 2,
-                 job_timeout: float = 120.0, max_strikes: int = 2,
-                 log=None):
+                 workers: int = 2, job_timeout: float = 120.0,
+                 max_strikes: int = 2, log=None):
         self.socket_path = Path(socket_path)
-        self.state_dir = Path(state_dir) if state_dir is not None \
-            else default_state_dir(cache_dir)
-        self.cache_dir = None
-        if use_cache:
-            self.cache_dir = Path(cache_dir) if cache_dir is not None \
-                else default_cache_dir()
+        # Absolute: clients in other working directories read it.
+        self.cache_dir = Path(default_cache_dir() if cache_dir is None
+                              else cache_dir).expanduser().absolute()
+        # The journal: ``$REPRO_SERVICE_STATE`` or ``service/`` beside
+        # the cache.
+        if state_dir is None:
+            state_dir = os.environ.get("REPRO_SERVICE_STATE") \
+                or self.cache_dir / "service"
+        self.state_dir = Path(state_dir).expanduser()
         self.workers = workers
         self.job_timeout = job_timeout
         self.max_strikes = max_strikes
@@ -142,7 +134,7 @@ class ExperimentDaemon:
                         self.shutdown(f"signal {s}")))
         self._log(f"listening on {self.socket_path} "
                   f"(workers={self.workers}, journal={self.state_dir}, "
-                  f"cache={self.cache_dir or 'off'})")
+                  f"cache={self.cache_dir})")
 
     def _replay(self) -> None:
         """Idempotent journal replay: done cells answer instantly,
@@ -228,7 +220,8 @@ class ExperimentDaemon:
     # -- supervisor callbacks (supervisor thread) ---------------------------
 
     def _sup_done(self, digest, task, scale, result) -> None:
-        self.journal.record_done(digest, result)
+        # The worker stored ``result`` in the cache before reporting.
+        self.journal.record_done(digest)
         self.loop.call_soon_threadsafe(self._settle, digest, DONE, None)
 
     def _sup_failed(self, digest, kind, message, hang) -> None:
@@ -298,7 +291,7 @@ class ExperimentDaemon:
         if op == "ping":
             return {"ok": True, "op": "pong",
                     "version": PROTOCOL_VERSION, "repro": __version__,
-                    "pid": os.getpid()}
+                    "pid": os.getpid(), "cache": str(self.cache_dir)}
         if op == "submit":
             return self._op_submit(request)
         if op == "wait":
@@ -349,9 +342,7 @@ class ExperimentDaemon:
             await asyncio.wait_for(job.event.wait(), timeout)
         state = self._wire_state(digest, job)
         response = {"ok": True, "digest": digest, "state": state}
-        if job.state == DONE:
-            response["result_path"] = str(self.journal.result_path(digest))
-        elif job.state == FAILED:
+        if job.state == FAILED:
             response.update({"kind": job.error_kind,
                              "message": job.error, "hang": job.hang})
         elif job.state == QUARANTINED:
@@ -371,13 +362,12 @@ class ExperimentDaemon:
 
 
 def run_daemon(socket_path, state_dir=None, cache_dir=None,
-               use_cache: bool = True, workers: int = 2,
-               job_timeout: float = 120.0, max_strikes: int = 2) -> int:
+               workers: int = 2, job_timeout: float = 120.0,
+               max_strikes: int = 2) -> int:
     """Blocking entry point for ``python -m repro serve``."""
     daemon = ExperimentDaemon(
         socket_path, state_dir=state_dir, cache_dir=cache_dir,
-        use_cache=use_cache, workers=workers, job_timeout=job_timeout,
-        max_strikes=max_strikes)
+        workers=workers, job_timeout=job_timeout, max_strikes=max_strikes)
     try:
         asyncio.run(daemon.serve())
     except KeyboardInterrupt:

@@ -1,22 +1,25 @@
 """Write-ahead job journal with idempotent replay.
 
 The daemon's crash story in one sentence: *the journal directory is the
-daemon's state, the process is disposable.*  Every job transition is
-appended to ``journal.jsonl`` (one JSON record per line, flushed and
-fsync'd), and every finished cell's :class:`RunResult` is committed as
-an atomic ``<digest>.pkl.z`` blob of a
-:class:`~repro.harness.diskcache.DiskCache` rooted at the same directory
-**before** the ``done`` record lands.  Replay is therefore idempotent at
-every crash point:
+daemon's job state, the disk cache holds its results, the process is
+disposable.*  Every job transition is appended to ``journal.jsonl`` (one
+JSON record per line, flushed and fsync'd).  Results are not journaled:
+a worker stores each finished cell in the shared content-keyed
+:class:`~repro.harness.diskcache.DiskCache` before it reports ``done``,
+so the cache entry is the commit point and the ``done`` line only says
+the job needs no re-run.  Replay is therefore idempotent at every crash
+point:
 
-* crash before the blob write → the job replays as pending and re-runs;
-* crash between blob and ``done`` record → the blob *is* the commit
-  record (``done`` requires a loadable blob, the WAL line is advisory),
-  so the job replays as done;
+* crash before the cache write → the job replays as pending and re-runs;
+* crash between cache write and ``done`` record → the job replays as
+  pending, and its re-run is a cache hit, not a second simulation;
 * torn final line (crash mid-append) → that line fails to parse and is
-  ignored; every record before it is intact;
-* torn or truncated blob → the cache moves it aside as
-  ``<digest>.pkl.z.corrupt`` and the job replays as pending.
+  ignored; every record before it is intact.
+
+A ``done`` job whose cache entry has since gone stays done here; the
+client misses on it and runs the cell locally.  Replay reads only
+``journal.jsonl``: result blobs an older daemon left beside it are
+ignored.
 
 The journal is the one durable job state in the repository: a local
 ``run_grid`` resumes through the disk cache alone, and quarantine
@@ -34,21 +37,16 @@ import os
 import threading
 from pathlib import Path
 
-from ..harness.diskcache import DiskCache
-from ..sim.gpu import RunResult
-
 JOURNAL_NAME = "journal.jsonl"
 RECORD_VERSION = 1
 
 
 class JobJournal:
-    """Append-only WAL plus atomic result blobs under one directory."""
+    """Append-only WAL of job transitions under one directory."""
 
     def __init__(self, root: str | os.PathLike):
-        # The journal's own store: never runner.disk_cache(), whose hit
-        # counts belong to the simulation cache.
-        self.blobs = DiskCache(root)
-        self.root = self.blobs.root
+        self.root = Path(root).expanduser()
+        self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / JOURNAL_NAME
         self._handle = open(self.path, "a", encoding="utf-8")
         # Submissions append from the daemon's event loop, completions
@@ -68,10 +66,8 @@ class JobJournal:
         """Journal a job *before* it is queued (write-ahead)."""
         self._append({"op": "submit", "digest": digest, "task": wire_task})
 
-    def record_done(self, digest: str, result: RunResult) -> None:
-        """Commit a finished cell: blob first (atomic rename — the real
-        commit point), then the advisory WAL record."""
-        self.blobs.store(digest, result)
+    def record_done(self, digest: str) -> None:
+        """Journal a finished cell (its result is already in the cache)."""
         self._append({"op": "done", "digest": digest})
 
     def record_strike(self, digest: str, reason: str) -> None:
@@ -82,20 +78,12 @@ class JobJournal:
 
     # -- reading ------------------------------------------------------------
 
-    def load_result(self, digest: str) -> RunResult | None:
-        return self.blobs.load(digest)
-
-    def result_path(self, digest: str) -> Path:
-        return self.blobs._path(digest)
-
     def replay(self) -> dict[str, dict]:
         """Fold the WAL into per-job state::
 
             digest -> {"task": wire_task, "status": pending|done|quarantined,
                        "strikes": int, "error": str | None}
 
-        A ``done`` is only believed when the result blob actually loads —
-        a record whose blob is missing or corrupt degrades to pending.
         An ``unquarantine`` record (no longer written, but present in
         older journals) returns a quarantined job to pending with its
         strikes cleared.
@@ -129,10 +117,6 @@ class JobJournal:
                     job["status"] = "pending"
                     job["error"] = None
                     job["strikes"] = 0
-        for digest, job in jobs.items():
-            if job["status"] == "done" \
-                    and self.load_result(digest) is None:
-                job["status"] = "pending"
         return jobs
 
     def close(self) -> None:

@@ -4,24 +4,29 @@ One request object per line, one response object per line, over a unix
 domain socket.  Requests carry an ``op``; responses carry ``ok`` and
 either the answer or an ``error``.  The protocol is deliberately dumb —
 flat JSON, no streaming, no binary frames — because the daemon and its
-clients share a filesystem: big payloads (result blobs) travel as paths
-into the journal's atomic blob store, not over the socket.
+clients share a filesystem: results never travel over the socket.  The
+``ping`` reply names the daemon's disk cache, and a client loads each
+``done`` cell from it by the content key of its own launch.
 
 Ops (see :mod:`repro.service.daemon` for semantics):
 
-* ``ping`` — liveness + version handshake;
+* ``ping`` — liveness + version handshake, and ``cache``: the root of
+  the daemon's disk cache;
 * ``submit`` — a list of jobs; per-job reply is ``queued``, ``running``,
   ``done``, ``quarantined``, or ``failed`` (a daemon that is shutting
   down answers ``ok: false`` for the whole submit);
-* ``wait`` — block (bounded) until one job settles;
+* ``wait`` — block (bounded) until one job settles (a ``done`` reply
+  carries no result);
 * ``status`` — per-state job counts, worker introspection incl. pids
   (the chaos campaign SIGKILLs those), and a ``GridReport`` dict;
 * ``shutdown`` — graceful drain-and-exit.
 
 A job is identified by :func:`repro.harness.diskcache.job_digest`: a
 hash of abbr, technique, scale and the full ``GPUConfig``, salted with
-the package version, so a journal written by another timing model
-never answers for the current one.  :func:`task_to_wire` /
+the package version, so a journal written by another package version
+never answers for the current one.  Within one version the digest
+names a cell, not its content; that is why results are looked up by
+content key instead.  :func:`task_to_wire` /
 :func:`task_from_wire` are the one JSON form of a task; ``GridReport``
 uses them too.
 """

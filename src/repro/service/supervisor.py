@@ -14,7 +14,7 @@ local ``--jobs N`` grid.  Both fold its events into a
   ``multiprocessing.connection.wait`` doubles as the death detector
   (a dead peer's pipe polls ready and then EOFs).  A finished cell
   crosses the pipe as one :func:`~repro.harness.diskcache.encode_result`
-  blob, the same codec as the disk cache and the job journal.
+  blob, the same codec as the disk cache.
 * Every worker runs a heartbeat thread stamping a shared ``Value``; the
   watchdog kills workers whose heartbeat goes stale (a frozen or
   SIGSTOP'd process) *and* workers that sit on one cell past
@@ -398,7 +398,7 @@ class Supervisor:
 
     def drain(self) -> bool:
         """Stop dispatching queued work and wait for the *in-flight*
-        cells to settle (they land in the journal via ``on_done``);
+        cells to settle (they reach ``on_done`` as usual);
         queued-but-unstarted jobs stay journaled as pending for the next
         daemon generation.  Returns whether the pool drained within
         ``job_timeout + 5`` seconds (unbounded without a job timeout)."""

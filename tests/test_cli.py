@@ -26,7 +26,6 @@ class TestParser:
         args = build_parser().parse_args(["run", "LIB"])
         assert args.technique == "dac"
         assert args.scale == "tiny"
-        assert args.jobs == 1
         assert args.cache_dir is None
         assert not args.no_cache
 
@@ -54,12 +53,23 @@ class TestParser:
         ["serve", "--heartbeat-timeout", "5"],
         ["serve", "--drain-timeout", "5"],
         ["figures", "--checkpoint", "D"],
-        ["compare", "CP", "--retry-quarantined"]],
+        ["compare", "CP", "--retry-quarantined"],
+        ["serve", "--no-cache"]],
         ids=["queue-limit", "heartbeat-timeout", "drain-timeout",
-             "checkpoint", "retry-quarantined"])
+             "checkpoint", "retry-quarantined", "serve-no-cache"])
     def test_retired_flags_are_errors(self, argv):
         with pytest.raises(SystemExit) as info:
             build_parser().parse_args(argv)
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("flag", [
+        ["--jobs", "2"], ["--timeout", "5"], ["--retries", "2"],
+        ["--service", "/tmp/d.sock"], ["--no-service"]],
+        ids=lambda flag: flag[0].lstrip("-"))
+    def test_run_takes_no_grid_flags(self, flag):
+        """``run`` simulates one cell: the grid flags would be ignored."""
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["run", "ST", *flag])
         assert info.value.code == 2
 
     def test_serve_defaults(self):
@@ -69,9 +79,9 @@ class TestParser:
         assert args.strikes == 2
         args = build_parser().parse_args(
             ["serve", "--socket", "/tmp/d.sock", "--workers", "3",
-             "--timeout", "5", "--strikes", "1", "--no-cache"])
+             "--timeout", "5", "--strikes", "1"])
         assert args.socket == "/tmp/d.sock"
-        assert args.workers == 3 and args.no_cache
+        assert args.workers == 3
 
     def test_serve_listens_next_to_its_cache_dir(self, tmp_path,
                                                  monkeypatch):

@@ -58,6 +58,21 @@ def test_run_grid_installs_into_memo_cache(monkeypatch):
     assert calls == []
 
 
+def test_parallel_suite_without_cache_simulates_nothing_in_parent(
+        monkeypatch):
+    """With caching off, the suite is assembled from the cells the
+    parallel grid returned, not simulated a second time here."""
+    calls = []
+    real = runner.simulate_launch
+    monkeypatch.setattr(
+        runner, "simulate_launch",
+        lambda *a: (calls.append(a), real(*a))[1])
+    out = run_suite(["ST"], "tiny", CFG, jobs=2, use_cache=False,
+                    service=False)
+    assert set(out["ST"]) == set(runner.TECHNIQUES)
+    assert calls == []
+
+
 def test_run_grid_reports_progress():
     seen = []
     run_grid([(a, "baseline", CFG) for a in ABBRS], "tiny", jobs=2,

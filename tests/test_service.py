@@ -244,17 +244,10 @@ class TestJournal:
             job = journal.replay()[digest]
             assert job["status"] == "pending" and job["strikes"] == 0
 
-            result = runner.run_one(*TASK[:2], SCALE, CFG, use_cache=False)
-            journal.record_done(digest, result)
+            journal.record_done(digest)
             assert journal.replay()[digest]["status"] == "done"
-            assert journal.load_result(digest).cycles == result.cycles
-
-    def test_done_without_blob_degrades_to_pending(self, tmp_path):
-        digest = job_digest(TASK, SCALE)
-        with JobJournal(tmp_path) as journal:
-            journal.record_submit(digest, task_to_wire(TASK, SCALE))
-            journal._append({"op": "done", "digest": digest})  # no blob
-            assert journal.replay()[digest]["status"] == "pending"
+        # The journal holds job state only: no result rides along.
+        assert [p.name for p in tmp_path.iterdir()] == ["journal.jsonl"]
 
     def test_torn_tail_and_garbage_lines_are_skipped(self, tmp_path):
         digest = job_digest(TASK, SCALE)
@@ -268,20 +261,6 @@ class TestJournal:
             assert list(jobs) == [digest]
             assert jobs[digest]["status"] == "pending"
 
-    def test_corrupt_blob_replays_as_pending(self, tmp_path):
-        """A truncated ``done`` blob is moved aside as ``.pkl.z.corrupt``
-        and its cell replays as pending, so it runs again."""
-        digest = job_digest(TASK, SCALE)
-        with JobJournal(tmp_path) as journal:
-            journal.record_submit(digest, task_to_wire(TASK, SCALE))
-            result = runner.run_one(*TASK[:2], SCALE, CFG, use_cache=False)
-            journal.record_done(digest, result)
-            blob = journal.result_path(digest)
-            blob.write_bytes(blob.read_bytes()[:40])
-            assert journal.replay()[digest]["status"] == "pending"
-        assert not blob.exists()
-        assert blob.with_name(blob.name + ".corrupt").exists()
-
     def test_older_version_journal_is_not_reused(self, tmp_path,
                                                  monkeypatch):
         """A journal written under another package version neither
@@ -293,8 +272,7 @@ class TestJournal:
         pending = ("CP", "dac", CFG)
         with JobJournal(tmp_path) as journal:
             journal.record_submit(digest, task_to_wire(TASK, SCALE))
-            result = runner.run_one(*TASK[:2], SCALE, CFG, use_cache=False)
-            journal.record_done(digest, result)
+            journal.record_done(digest)
             journal.record_submit(job_digest(pending, SCALE),
                                   task_to_wire(pending, SCALE))
 
@@ -304,7 +282,7 @@ class TestJournal:
             assert fresh not in journal.replay()
 
         daemon = ExperimentDaemon(tmp_path / "sock", state_dir=tmp_path,
-                                  use_cache=False, log=lambda msg: None)
+                                  log=lambda msg: None)
         daemon.journal = JobJournal(tmp_path)
         daemon.supervisor = _StubSupervisor()
         try:
@@ -334,7 +312,7 @@ class TestJournal:
 
         def replay():
             daemon = ExperimentDaemon(tmp_path / "sock", state_dir=tmp_path,
-                                      use_cache=False, log=lambda msg: None)
+                                      log=lambda msg: None)
             daemon.journal = JobJournal(tmp_path)
             daemon.supervisor = _StubSupervisor()
             try:
@@ -382,7 +360,7 @@ def _stub_daemon(tmp_path):
     from repro.service.daemon import ExperimentDaemon
 
     daemon = ExperimentDaemon(tmp_path / "sock", state_dir=tmp_path,
-                              use_cache=False, log=lambda msg: None)
+                              log=lambda msg: None)
     daemon.journal = JobJournal(tmp_path)
     daemon.supervisor = _StubSupervisor()
     return daemon
@@ -403,22 +381,26 @@ class _LoopbackClient(ServiceClient):
 
 
 class _DyingClient(ServiceClient):
-    """Delivers the cells whose result blobs it holds, then loses the
-    daemon on the next wait."""
+    """Reports the ``done`` digests it holds (their results sit in the
+    cache at ``cache``), then loses the daemon on the next wait."""
 
-    def __init__(self, blobs):
+    def __init__(self, cache, done):
         self.socket_path = Path("stub.sock")
-        self.blobs = blobs                     # digest -> blob path
+        self.cache = cache
+        self.done = set(done)
+
+    def ping(self):
+        return {"ok": True, "op": "pong", "cache": str(self.cache)}
 
     def submit(self, tasks, scale):
         return [{"digest": job_digest(task, scale), "state": "queued"}
                 for task in tasks]
 
     def wait(self, digest, timeout=30.0):
-        if digest not in self.blobs:
+        if digest not in self.done:
             raise ServiceUnavailable("daemon went away")
-        return {"ok": True, "digest": digest, "state": "done",
-                "result_path": str(self.blobs.pop(digest))}
+        self.done.remove(digest)
+        return {"ok": True, "digest": digest, "state": "done"}
 
     def close(self):
         pass
@@ -499,15 +481,33 @@ class TestClientRouting:
         run_grid([TASK], SCALE, jobs=1, use_cache=False)
         assert asked == [tmp_path / "c" / "service.sock"]
 
+    def test_ping_names_the_cache_or_counts_as_no_daemon(self, tmp_path):
+        """Served results are read from the cache the ``ping`` reply
+        names; a daemon whose reply names none is treated as absent."""
+        daemon = _stub_daemon(tmp_path)
+        loopback = _LoopbackClient(daemon)
+        try:
+            assert loopback.ping()["cache"] == str(daemon.cache_dir)
+            assert daemon.cache_dir.is_absolute()
+            loopback.request = lambda payload: {
+                key: value for key, value in
+                asyncio.run(daemon._dispatch(payload)).items()
+                if key != "cache"}
+            with pytest.raises(ServiceUnavailable, match="bad ping"):
+                loopback.ping()
+        finally:
+            daemon.journal.close()
+
     def test_daemon_dying_mid_grid_keeps_delivered_cells(self, tmp_path,
                                                          monkeypatch):
         """A cell the daemon delivered before it died is settled; only
         the undelivered cell runs on the local pool."""
-        served = runner.run_one(*TASK[:2], SCALE, CFG, use_cache=False)
-        blob = tmp_path / "served.pkl.z"
-        blob.write_bytes(diskcache.encode_result(served))
+        cache = configure_cache(tmp_path / "served")
+        served = runner.run_one(*TASK[:2], SCALE, CFG)
+        configure_cache(enabled=False)
+        clear_cache()
         other = ("ST", "baseline", CFG)
-        stub = _DyingClient({job_digest(TASK, SCALE): blob})
+        stub = _DyingClient(cache.root, [job_digest(TASK, SCALE)])
         monkeypatch.setattr(client, "try_connect", lambda path: stub)
         ran = _count_local_runs(monkeypatch)
         report = GridReport()

@@ -11,7 +11,10 @@ bit-identical to a serial reference run.  The scenarios:
 * two concurrent clients sharing one cache (each cell simulated once,
   no corrupt entries);
 * ``run_grid`` routing through the daemon transparently, and falling
-  back to the local path when no daemon answers.
+  back to the local path when no daemon answers;
+* one result store: a served grid leaves its results in the shared
+  content-keyed cache only, and a client whose launch differs from the
+  one the daemon ran misses there and simulates locally.
 
 Chaos is injected via the ``REPRO_CHAOS*`` environment variables
 (:mod:`repro.faults.chaos`) passed to the daemon subprocess only — the
@@ -23,6 +26,7 @@ Socket paths live under a short ``/tmp`` scratch dir, not pytest's
 ``tmp_path`` — ``AF_UNIX`` paths are capped at ~107 bytes.
 """
 
+import dataclasses
 import os
 import shutil
 import signal
@@ -49,6 +53,7 @@ from repro.harness.client import (
 )
 from repro.harness.parallel import GridReport, run_grid
 from repro.service.protocol import job_digest
+from repro.workloads import registry
 
 pytestmark = pytest.mark.resilience
 
@@ -403,5 +408,57 @@ def test_run_grid_skips_a_daemon_of_another_version(svc, monkeypatch):
         with pytest.raises(ServiceUnavailable):
             client.wait(job_digest(GRID[0], SCALE), timeout=0.1)
         with pytest.raises(ServiceUnavailable):
+            client.run_tasks(GRID[:1], SCALE)         # the handshake
+        monkeypatch.setattr(client, "ping",
+                            lambda: {"cache": str(svc.cache)})
+        with pytest.raises(ServiceUnavailable, match="unknown job"):
             client.run_tasks(GRID[:1], SCALE)
+    assert stop_daemon(svc, proc) == 0
+
+
+# ---------------------------------------------------------------------------
+# Scenario 6: one result store, read by content key
+
+
+def test_served_results_live_only_in_the_cache(svc):
+    proc = start_daemon(svc, workers=2)
+    with ServiceClient(svc.sock) as client:
+        results, quarantined, failures = client.run_tasks(GRID, SCALE)
+    assert set(results) == set(GRID) and quarantined == []
+    assert stop_daemon(svc, proc) == 0
+
+    assert list(svc.state.glob("*.pkl.z")) == []
+    cache = diskcache.DiskCache(svc.cache)
+    assert len(cache) == len(GRID)
+    for abbr, technique, config in GRID:
+        key = diskcache.cache_key(registry.get(abbr).launch(SCALE),
+                                  technique, config)
+        assert_bit_identical(cache.load(key),
+                             results[(abbr, technique, config)])
+
+
+def test_changed_launch_is_not_served_a_stale_result(svc, monkeypatch):
+    """The daemon ran ST under one launch; a client whose ST launch has
+    changed since (same job name, other content) must get its own
+    launch's result, simulated locally, not the daemon's."""
+    task = ("ST", "baseline", CFG)
+    proc = start_daemon(svc, workers=1)
+    with ServiceClient(svc.sock) as client:
+        stale = client.run_tasks([task], SCALE)[0][task]
+
+    st = registry.BY_ABBR["ST"]
+
+    def fewer_steps(scale):
+        launch = st.build(scale)
+        launch.params["steps"] = 1
+        return launch
+
+    monkeypatch.setitem(registry.BY_ABBR, "ST",
+                        dataclasses.replace(st, build=fewer_steps))
+    expected = runner.simulate_launch(fewer_steps(SCALE), "baseline", CFG)
+    assert expected.cycles != stale.cycles
+
+    results = run_grid([task], SCALE, jobs=1, service=svc.sock)
+    assert_bit_identical(results[task], expected)
+    assert sim_counts(svc) == Counter({("ST", "baseline"): 1})
     assert stop_daemon(svc, proc) == 0

@@ -56,3 +56,19 @@ class TestSweep:
         assert [p.speedup for p in par.points] == \
             [p.speedup for p in serial.points]
         clear_cache()
+
+    def test_parallel_sweep_without_cache_simulates_nothing_in_parent(
+            self, monkeypatch):
+        from repro.harness import clear_cache, configure_cache, runner
+        calls = []
+        real = runner.simulate_launch
+        monkeypatch.setattr(
+            runner, "simulate_launch",
+            lambda *a: (calls.append(a), real(*a))[1])
+        configure_cache(enabled=False)
+        clear_cache()
+        result = sweep("CS", "dac.pwaq_entries", [48, 192],
+                       experiment_config(num_sms=2), scale="tiny", jobs=2,
+                       use_cache=False)
+        assert len(result.points) == 2
+        assert calls == []
