@@ -25,11 +25,10 @@ skipped, not guessed at.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..config import GPUConfig
 from ..isa import Kernel, MemRef, MemSpace, Opcode, PredReg
 from ..compiler.affine_analysis import AffineAnalysis
+from ..compiler.cfg import strongly_connected_components
 from ..compiler.decouple import DecoupledProgram
 from ..compiler.verifier import _deq_tokens
 from ..sim.launch import WORD, KernelLaunch
@@ -455,7 +454,6 @@ def _interval_pressure(kernel: Kernel, cfg, kinds) -> int:
     insts = kernel.instructions
     of_kind = {Opcode.ENQ_DATA: "data", Opcode.ENQ_ADDR: "addr",
                Opcode.ENQ_PRED: "pred"}
-    g = nx.DiGraph()
     seg_weight: dict[tuple[int, int], int] = {}
     first_seg: dict[int, tuple[int, int]] = {}
     last_seg: dict[int, tuple[int, int]] = {}
@@ -466,27 +464,27 @@ def _interval_pressure(kernel: Kernel, cfg, kinds) -> int:
             inst = insts[idx]
             if inst.is_barrier:
                 seg_weight[(block.index, seg_no)] = weight
-                g.add_node((block.index, seg_no))
                 seg_no += 1
                 weight = 0      # a barrier drains the interval
             elif inst.is_enq and of_kind[inst.opcode] in kinds:
                 weight += 1
         seg_weight[(block.index, seg_no)] = weight
-        g.add_node((block.index, seg_no))
         last_seg[block.index] = (block.index, seg_no)
+    succs: dict[tuple[int, int], list[tuple[int, int]]] = {
+        seg: [] for seg in seg_weight}
     for block in cfg.blocks:
-        for succ in block.successors:
-            g.add_edge(last_seg[block.index], first_seg[succ])
-    cond = nx.condensation(g)
-    best: dict[int, int] = {}
+        succs[last_seg[block.index]].extend(
+            first_seg[s] for s in block.successors)
+    # Longest weighted path over the condensation, in topological order.
+    incoming = dict.fromkeys(seg_weight, 0)
     peak = 0
-    for node in nx.topological_sort(cond):
-        members = cond.nodes[node]["members"]
-        weight = sum(seg_weight[m] for m in members)
-        incoming = max((best[p] for p in cond.predecessors(node)),
-                       default=0)
-        best[node] = incoming + weight
-        peak = max(peak, best[node])
+    for scc in strongly_connected_components(seg_weight, succs.__getitem__):
+        best = max(incoming[m] for m in scc) + \
+            sum(seg_weight[m] for m in scc)
+        peak = max(peak, best)
+        for m in scc:
+            for nxt in succs[m]:
+                incoming[nxt] = max(incoming[nxt], best)
     return peak
 
 

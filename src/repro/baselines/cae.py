@@ -30,11 +30,21 @@ def _value_stride(values) -> float | None:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 0:
         return 0.0
-    diffs = np.diff(arr)
+    diffs = arr[1:] - arr[:-1]               # np.diff, without its checks
     stride = float(diffs[0]) if len(diffs) else 0.0
     if np.all(diffs == stride):
         return stride
     return None
+
+
+def _launch_mask(warp: WarpContext, mask: np.ndarray) -> bool:
+    """``mask`` equals the warp's launch mask.  The bottom SIMT-stack entry
+    is a copy of it that nothing mutates, so while the stack has depth 1
+    its top mask answers by identity, without a compare."""
+    stack = warp.stack
+    if mask is stack.active_mask and stack.depth == 1:
+        return True
+    return np.array_equal(mask, warp.initial_mask)
 
 
 class CAESM(SM):
@@ -52,7 +62,11 @@ class CAESM(SM):
         if isinstance(op, (Immediate, Param)):
             return 0.0
         if isinstance(op, SpecialReg):
-            return _value_stride(warp.special(op.family, op.dim))
+            # Geometry registers are fixed for the warp's lifetime.
+            cache = warp.cae_special
+            if op not in cache:
+                cache[op] = _value_stride(warp.special(op.family, op.dim))
+            return cache[op]
         if isinstance(op, PredReg):
             return None
         return None
@@ -63,7 +77,7 @@ class CAESM(SM):
             return False
         if inst.guard is not None:
             return False                      # no predication on affine units
-        if not np.array_equal(mask, warp.initial_mask):
+        if not _launch_mask(warp, mask):
             return False                      # no divergence support [13]
         strides = [self._operand_stride(warp, op) for op in inst.srcs]
         if any(s is None for s in strides):
@@ -81,8 +95,8 @@ class CAESM(SM):
         self._issued_affine = False
         interval = super().issue(warp, decoded, now)
         inst = decoded.inst
-        if isinstance(warp, WarpContext) and inst.written_regs() \
-                and not decoded.counts_alu:
+        if not decoded.counts_alu and decoded.dst_name is not None \
+                and isinstance(warp, WarpContext):
             # Loads (and any non-ALU writer) break the affine tag.
             for dst in inst.written_regs():
                 if isinstance(dst, Register):
@@ -104,7 +118,7 @@ class CAESM(SM):
         for dst in inst.written_regs():
             if not isinstance(dst, Register):
                 continue
-            if mask.all() or np.array_equal(mask, warp.initial_mask):
+            if _launch_mask(warp, mask) or mask.all():
                 warp.cae_stride[dst.name] = _value_stride(
                     warp.regs.get(dst.name, 0.0))
             else:

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-import networkx as nx
-
 from ..affine import OperandClass, join, leaf_class, result_class
 from ..isa import Kernel, PredReg
-from .cfg import CFG
+from .cfg import CFG, cyclic_nodes
 from .dataflow import ReachingDefs
 
 
@@ -152,16 +150,9 @@ class AffineAnalysis:
         return deps
 
     def _loop_blocks(self) -> set[int]:
-        g = nx.DiGraph()
-        for block in self.cfg.blocks:
-            g.add_node(block.index)
-            for s in block.successors:
-                g.add_edge(block.index, s)
-        loops: set[int] = set()
-        for scc in nx.strongly_connected_components(g):
-            if len(scc) > 1 or any(g.has_edge(n, n) for n in scc):
-                loops |= scc
-        return loops
+        blocks = self.cfg.blocks
+        return cyclic_nodes(range(len(blocks)),
+                            lambda b: blocks[b].successors)
 
     def in_loop(self, inst_index: int) -> bool:
         return self.cfg.block_of(inst_index).index in self.loop_blocks

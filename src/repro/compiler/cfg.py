@@ -3,15 +3,125 @@
 Provides basic blocks, edges, immediate post-dominators (the reconvergence
 points used by both the baseline SIMT stack and the compiler's divergent
 affine analysis, paper §4.7 / Fig. 15), and reaching-definition preliminaries.
+
+The graph routines are plain functions over a successor callback, so the
+compiler and the lint passes share one DFS and one SCC walk.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass, field
-
-import networkx as nx
+from functools import reduce
+from typing import TypeVar
 
 from ..isa import Instruction, Kernel
+
+N = TypeVar("N", bound=Hashable)
+
+
+def postorder(root: N, succs: Callable[[N], Iterable[N]]) -> list[N]:
+    """Depth-first postorder of the nodes reachable from ``root``, taking
+    each node's edges in ``succs`` order (iterative: no recursion limit)."""
+    seen = {root}
+    order: list[N] = []
+    work = [(root, iter(succs(root)))]
+    while work:
+        node, edges = work[-1]
+        for nxt in edges:
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append((nxt, iter(succs(nxt))))
+                break
+        else:
+            work.pop()
+            order.append(node)
+    return order
+
+
+def immediate_dominators(root: N, succs: Callable[[N], Iterable[N]],
+                         preds: Callable[[N], Iterable[N]]) -> dict[N, N]:
+    """Immediate dominator of every node reachable from ``root`` (the root
+    maps to itself), by the Cooper–Harvey–Kennedy iteration over reverse
+    postorder.  ``preds`` may name nodes unreachable from ``root``."""
+    order = postorder(root, succs)
+    rank = {node: i for i, node in enumerate(order)}
+    idom = {root: root}
+
+    def intersect(a, b):
+        while a != b:
+            while rank[a] < rank[b]:
+                a = idom[a]
+            while rank[b] < rank[a]:
+                b = idom[b]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for node in reversed(order[:-1]):
+            # An earlier node in reverse postorder (the DFS parent at
+            # least) is always processed.
+            new = reduce(intersect, [p for p in preds(node) if p in idom])
+            if idom.get(node) != new:
+                idom[node] = new
+                changed = True
+    return idom
+
+
+def strongly_connected_components(
+        nodes: Iterable[N], succs: Callable[[N], Iterable[N]]) -> list[list[N]]:
+    """The SCCs of the graph, in topological order (an SCC comes before
+    every SCC it has an edge to).  Iterative Tarjan."""
+    index: dict[N, int] = {}
+    low: dict[N, int] = {}
+    stack: list[N] = []
+    on_stack: set[N] = set()
+    sccs: list[list[N]] = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succs(root)))]
+        while work:
+            node, edges = work[-1]
+            for nxt in edges:
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(succs(nxt))))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    scc = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        scc.append(member)
+                        if member == node:
+                            break
+                    sccs.append(scc)
+    sccs.reverse()              # Tarjan emits sinks first
+    return sccs
+
+
+def cyclic_nodes(nodes: Iterable[N], succs: Callable[[N], Iterable[N]]) -> set[N]:
+    """The nodes that lie on a cycle: each is reachable from its own
+    successors."""
+    loops: set[N] = set()
+    for scc in strongly_connected_components(nodes, succs):
+        if len(scc) > 1 or scc[0] in succs(scc[0]):
+            loops.update(scc)
+    return loops
 
 
 @dataclass
@@ -82,23 +192,25 @@ class CFG:
 
     # ---- dominance ---------------------------------------------------------
 
-    def _graph(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_node(self.EXIT)
-        for block in self.blocks:
-            g.add_node(block.index)
-            for s in block.successors:
-                g.add_edge(block.index, s)
-            if not block.successors or \
-                    self.kernel.instructions[block.end - 1].is_exit:
-                g.add_edge(block.index, self.EXIT)
-        return g
-
     def _compute_ipdom(self) -> dict[int, int]:
-        """Immediate post-dominator per block (block ids; EXIT for none)."""
-        reversed_graph = self._graph().reverse()
-        idom = nx.immediate_dominators(reversed_graph, self.EXIT)
-        return {b: d for b, d in idom.items() if b != self.EXIT}
+        """Immediate post-dominator per block (block ids; EXIT for none):
+        the immediate dominators of the reversed block graph, rooted at
+        EXIT.  A block with no successors (it ends in ``exit`` or falls off
+        the kernel) has the one edge to EXIT; a block that cannot reach
+        EXIT has no entry."""
+        blocks = self.blocks
+        exits = [b.index for b in blocks if not b.successors]
+
+        def reversed_succs(node: int) -> list[int]:
+            return exits if node == self.EXIT else blocks[node].predecessors
+
+        def reversed_preds(node: int) -> list[int]:
+            return blocks[node].successors or [self.EXIT]
+
+        idom = immediate_dominators(self.EXIT, reversed_succs,
+                                    reversed_preds)
+        del idom[self.EXIT]
+        return idom
 
     def reconvergence_pc(self, branch_index: int) -> int:
         """Instruction index where threads diverging at ``branch_index``
@@ -112,9 +224,10 @@ class CFG:
     # ---- traversal helpers ---------------------------------------------
 
     def reverse_postorder(self) -> list[int]:
-        g = self._graph()
-        g.remove_node(self.EXIT)
-        order = list(nx.dfs_postorder_nodes(g, source=0))
+        """Blocks reachable from the entry in reverse DFS postorder
+        (successors taken in list order), then the unreachable ones."""
+        order = postorder(0, lambda b: self.blocks[b].successors)
         order.reverse()
-        missing = [b.index for b in self.blocks if b.index not in set(order)]
-        return order + missing
+        reached = set(order)
+        return order + [b.index for b in self.blocks
+                        if b.index not in reached]

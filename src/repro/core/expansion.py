@@ -177,12 +177,15 @@ class AddressExpansionUnit(ExpansionUnit):
     def _on_fill(self, record: AddressRecord, warp, now: int) -> None:
         record.fills_remaining -= 1
         record.fill_time = max(record.fill_time, now)
-        # The destination warp may be cached as blocked on this record's
-        # outstanding fills: every fill re-checks (conservative but cheap).
+        if record.fills_remaining:
+            return
+        # The destination warp may be cached as blocked on this record: a
+        # blocked dequeue reads only ``fills_remaining > 0``, which the last
+        # fill is the one to change, so earlier fills need not wake it.
         sched = warp.sched
         if sched is not None:
             sched.wake()
-        if record.fills_remaining == 0 and self.sm.trace_on:
+        if self.sm.trace_on:
             self.sm.tracer.record_fill(now, self.sm.index, record.queue_id)
 
 

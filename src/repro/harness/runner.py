@@ -196,7 +196,8 @@ def run_suite(abbrs, scale: str = "paper",
     out = {}
     for abbr in abbrs:
         out[abbr] = _cross_check(abbr, {
-            t: grid.get((abbr, t, config)) or run_one(abbr, t, scale, config)
+            t: grid.get((abbr, t, config))
+            or run_one(abbr, t, scale, config, use_cache=use_cache)
             for t in techniques})
         if progress is not None:
             progress(abbr, out[abbr])

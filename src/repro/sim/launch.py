@@ -11,9 +11,12 @@ WORD = 4          # every data element is one 4-byte word
 
 class GlobalMemory:
     """Flat device memory, word-addressed internally, byte-addressed in the
-    ISA.  Values are float64 words (exact for integers up to 2**53)."""
+    ISA.  Values are float64 words (exact for integers up to 2**53).
 
-    def __init__(self, size_bytes: int = 1 << 22):
+    The default 1 MiB holds every registry launch: the largest, BS at
+    paper scale, allocates 213,120 B."""
+
+    def __init__(self, size_bytes: int = 1 << 20):
         if size_bytes % WORD:
             raise ValueError("memory size must be a multiple of 4 bytes")
         self.words = np.zeros(size_bytes // WORD, dtype=np.float64)

@@ -22,7 +22,8 @@ class WarpContext:
     __slots__ = (
         "launch", "cta", "warp_in_cta", "slot", "width", "tx", "ty", "tz",
         "initial_mask", "stack", "regs", "preds", "pending", "mem_pending",
-        "done", "at_barrier", "executor", "cae_stride", "last_issue",
+        "done", "at_barrier", "executor", "cae_stride", "cae_special",
+        "last_issue",
         "code",                    # per-kernel Decoded list (shared)
         "sched",                   # owning scheduler (wake target)
         "_mask_facts_memo",        # (mask object, all, count) cache
@@ -48,6 +49,7 @@ class WarpContext:
         self.done = False
         self.at_barrier = False
         self.cae_stride: dict[str, float | None] = {}
+        self.cae_special: dict = {}         # SpecialReg -> stride (CAE)
         self.last_issue = 0
         self.code = decoded_of(launch.kernel)
         self.sched = None

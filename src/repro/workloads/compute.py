@@ -397,7 +397,7 @@ def _stencil_launch(kern, abbr: str, scale: str, steps_pick=(2, 4),
     bx, by = 32, pick(scale, 4, 8)
     steps = pick(scale, *steps_pick)
     rng = rng_for(abbr)
-    mem = GlobalMemory(1 << 23)
+    mem = GlobalMemory()
     width, height = gx * bx, gy * by
     plane = width * height
     total = (steps + 1) * plane + 2 * width + 8

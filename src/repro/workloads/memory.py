@@ -43,7 +43,7 @@ LOOP:
 def _build_lib(scale: str) -> KernelLaunch:
     blocks, threads, steps = pick(scale, (2, 64, 4), (8, 128, 32))
     rng = rng_for("LIB")
-    mem = GlobalMemory(1 << 23)
+    mem = GlobalMemory()
     n = blocks * threads
     z = mem.alloc_array(rng.uniform(0.9, 1.1, steps))
     rates = mem.alloc_array(rng.uniform(0, 1, steps * n))
@@ -85,7 +85,7 @@ LOOP:
 def _build_sg(scale: str) -> KernelLaunch:
     blocks, threads, kk = pick(scale, (2, 64, 6), (4, 128, 40))
     rng = rng_for("SG")
-    mem = GlobalMemory(1 << 23)
+    mem = GlobalMemory()
     m = blocks * threads
     ncols = 2
     a = mem.alloc_array(rng.integers(0, 9, m * kk))
@@ -140,7 +140,7 @@ def _build_st(scale: str) -> KernelLaunch:
     bx, by = 32, pick(scale, 4, 8)
     steps = pick(scale, 2, 6)
     rng = rng_for("ST")
-    mem = GlobalMemory(1 << 23)
+    mem = GlobalMemory()
     width, height = gx * bx, gy * by
     plane = width * height
     total = (steps + 2) * plane + 2 * width + 8
@@ -177,7 +177,7 @@ LOOP:
 def _build_img(scale: str) -> KernelLaunch:
     blocks, threads, iters = pick(scale, (2, 64, 2), (8, 128, 12))
     rng = rng_for("IMG")
-    mem = GlobalMemory(1 << 23)
+    mem = GlobalMemory()
     n = blocks * threads
     pix = mem.alloc_array(rng.integers(0, 256, n * iters))
     hist = mem.alloc(64)
@@ -218,7 +218,7 @@ LOOP:
 def _build_hi(scale: str) -> KernelLaunch:
     blocks, threads, iters = pick(scale, (2, 128, 2), (8, 128, 12))
     rng = rng_for("HI")
-    mem = GlobalMemory(1 << 23)
+    mem = GlobalMemory()
     n = blocks * threads
     pix = mem.alloc_array(rng.integers(0, 256, n * iters))
     hist = mem.alloc(64)
@@ -272,7 +272,7 @@ LOOP:
 def _build_lbm(scale: str) -> KernelLaunch:
     blocks, threads, cells = pick(scale, (2, 64, 1), (8, 128, 4))
     rng = rng_for("LBM")
-    mem = GlobalMemory(1 << 23)
+    mem = GlobalMemory()
     n = blocks * threads * cells
     fin = mem.alloc_array(rng.uniform(0, 1, n * 6))
     fout = mem.alloc(n * 3)
@@ -315,7 +315,7 @@ DONE:
 def _build_spv(scale: str) -> KernelLaunch:
     blocks, threads, nnz_row = pick(scale, (2, 64, 3), (8, 128, 10))
     rng = rng_for("SPV")
-    mem = GlobalMemory(1 << 23)
+    mem = GlobalMemory()
     n = blocks * threads
     rp = mem.alloc_array(np.arange(n + 1) * nnz_row)
     ci = mem.alloc_array(rng.integers(0, n, n * nnz_row))
@@ -354,7 +354,7 @@ LOOP:
 def _build_bt(scale: str) -> KernelLaunch:
     blocks, threads, depth = pick(scale, (2, 64, 3), (8, 128, 10))
     rng = rng_for("BT")
-    mem = GlobalMemory(1 << 23)
+    mem = GlobalMemory()
     n = blocks * threads
     nnodes = 4096
     keys = mem.alloc_array(rng.integers(0, 1 << 20, n))
@@ -395,7 +395,7 @@ LOOP:
 def _build_lud(scale: str) -> KernelLaunch:
     blocks, threads, cols = pick(scale, (2, 64, 4), (8, 128, 24))
     rng = rng_for("LUD")
-    mem = GlobalMemory(1 << 23)
+    mem = GlobalMemory()
     n = blocks * threads
     pivot = mem.alloc_array(rng.integers(0, 9, cols))
     mat = mem.alloc_array(rng.integers(0, 9, n * cols))
@@ -481,7 +481,7 @@ LOOP:
 def _build_sc(scale: str) -> KernelLaunch:
     blocks, threads, ncenters = pick(scale, (2, 64, 3), (8, 128, 16))
     rng = rng_for("SC")
-    mem = GlobalMemory(1 << 23)
+    mem = GlobalMemory()
     n = blocks * threads
     pts = mem.alloc_array(rng.integers(0, 100, n * 2 * ncenters))
     centers = mem.alloc_array(rng.integers(0, 100, ncenters * 2))
@@ -533,7 +533,7 @@ def _build_km(scale: str) -> KernelLaunch:
     blocks, threads, nfeat, ncl = pick(scale, (2, 64, 2, 2),
                                        (8, 128, 6, 5))
     rng = rng_for("KM")
-    mem = GlobalMemory(1 << 23)
+    mem = GlobalMemory()
     n = blocks * threads
     feat = mem.alloc_array(rng.integers(0, 50, n * nfeat))
     cent = mem.alloc_array(rng.integers(0, 50, ncl * nfeat))
@@ -578,7 +578,7 @@ DONE:
 def _build_bfs(scale: str) -> KernelLaunch:
     blocks, threads, degree = pick(scale, (2, 64, 2), (8, 128, 8))
     rng = rng_for("BFS")
-    mem = GlobalMemory(1 << 23)
+    mem = GlobalMemory()
     n = blocks * threads
     levels = rng.integers(0, 4, n).astype(np.float64)
     levels[levels > 1] = 99
@@ -631,7 +631,7 @@ NLOOP:
 def _build_cfd(scale: str) -> KernelLaunch:
     blocks, threads, sweeps = pick(scale, (2, 64, 1), (8, 128, 3))
     rng = rng_for("CFD")
-    mem = GlobalMemory(1 << 23)
+    mem = GlobalMemory()
     n = blocks * threads
     vars_ = mem.alloc_array(rng.uniform(0, 10, n * sweeps))
     nbr = mem.alloc_array(rng.integers(0, n, n * 4))
@@ -672,7 +672,7 @@ LOOP:
 def _build_mc(scale: str) -> KernelLaunch:
     blocks, threads, paths = pick(scale, (2, 64, 3), (8, 128, 24))
     rng = rng_for("MC")
-    mem = GlobalMemory(1 << 23)
+    mem = GlobalMemory()
     n = blocks * threads
     u1 = mem.alloc_array(rng.uniform(0.01, 1, n * paths))
     u2 = mem.alloc_array(rng.uniform(0, 1, n * paths))
@@ -711,7 +711,7 @@ LOOP:
 def _build_mt(scale: str) -> KernelLaunch:
     blocks, threads, iters = pick(scale, (2, 64, 3), (8, 128, 20))
     rng = rng_for("MT")
-    mem = GlobalMemory(1 << 23)
+    mem = GlobalMemory()
     n = blocks * threads
     state_words = 16384
     state = mem.alloc_array(rng.integers(0, 1 << 20, state_words))
@@ -767,7 +767,7 @@ RED:
 def _build_sp(scale: str) -> KernelLaunch:
     blocks, threads, chunks = pick(scale, (2, 64, 2), (8, 128, 20))
     rng = rng_for("SP")
-    mem = GlobalMemory(1 << 23)
+    mem = GlobalMemory()
     n = blocks * threads
     a = mem.alloc_array(rng.integers(0, 9, n * chunks))
     b = mem.alloc_array(rng.integers(0, 9, n * chunks))
@@ -815,7 +815,7 @@ KLOOP:
 def _build_cs(scale: str) -> KernelLaunch:
     blocks, threads, taps, rows = pick(scale, (2, 64, 3, 1), (8, 128, 7, 4))
     rng = rng_for("CS")
-    mem = GlobalMemory(1 << 23)
+    mem = GlobalMemory()
     n = blocks * threads
     row_words = n + taps + 2
     inp = mem.alloc_array(rng.integers(0, 9, row_words * rows))

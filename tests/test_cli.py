@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -233,3 +237,14 @@ class TestCertifyCommand:
     def test_certify_campaign_rejects_unknown_class(self, capsys):
         assert main(["certify", "--campaign", "--classes", "bitrot"]) == 2
         assert "unknown mutation class" in capsys.readouterr().err
+
+
+def test_entry_points_import_no_networkx():
+    """The CLI, the harness and the worker pool run on numpy and the
+    standard library alone."""
+    code = ("import sys, repro.cli, repro.harness, repro.service.supervisor;"
+            " print('networkx' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

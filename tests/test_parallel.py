@@ -73,6 +73,22 @@ def test_parallel_suite_without_cache_simulates_nothing_in_parent(
     assert calls == []
 
 
+def test_serial_suite_without_cache_simulates_every_cell(monkeypatch):
+    """``use_cache=False`` reaches the serial path too: every call
+    simulates each technique and leaves nothing in the memo cache."""
+    calls = []
+    real = runner.simulate_launch
+    monkeypatch.setattr(
+        runner, "simulate_launch",
+        lambda *a: (calls.append(a), real(*a))[1])
+    for _ in range(2):
+        calls.clear()
+        run_suite(["ST"], "tiny", CFG, jobs=1, use_cache=False)
+        assert len(calls) == len(runner.TECHNIQUES)
+    assert not any(runner.is_cached("ST", t, "tiny", CFG)
+                   for t in runner.TECHNIQUES)
+
+
 def test_run_grid_reports_progress():
     seen = []
     run_grid([(a, "baseline", CFG) for a in ABBRS], "tiny", jobs=2,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compiler.decouple import decouple
+from repro.sim.launch import GlobalMemory
 from repro.workloads import (
     ALL_BENCHMARKS,
     BY_ABBR,
@@ -45,13 +46,23 @@ class TestRegistry:
         assert {b.suite for b in ALL_BENCHMARKS} <= {"G", "R", "C", "P"}
 
 
+def _check_launch(abbr: str, scale: str) -> None:
+    launch = get(abbr).launch(scale)
+    assert launch.num_blocks >= 1
+    assert 32 <= launch.threads_per_block <= 1024
+    # Every launch runs on the default device memory, with headroom.
+    assert launch.memory.size_bytes == GlobalMemory().size_bytes
+    assert launch.memory._next_free <= launch.memory.size_bytes // 4
+
+
 class TestLaunchConstruction:
     @pytest.mark.parametrize("abbr", sorted(BY_ABBR))
     def test_tiny_launch_builds(self, abbr):
-        launch = get(abbr).launch("tiny")
-        assert launch.num_blocks >= 1
-        assert 32 <= launch.threads_per_block <= 1024
-        assert launch.memory.size_bytes > 0
+        _check_launch(abbr, "tiny")
+
+    @pytest.mark.parametrize("abbr", sorted(BY_ABBR))
+    def test_paper_launch_builds(self, abbr):
+        _check_launch(abbr, "paper")
 
     @pytest.mark.parametrize("abbr", sorted(BY_ABBR))
     def test_launches_are_fresh(self, abbr):
