@@ -7,8 +7,8 @@ bounds passes read the closed forms of :mod:`repro.analysis.symexec`
 from the same :class:`SymbolicKernel` the certifier proves against.
 Every diagnostic class is validated dynamically by the campaign in
 :mod:`repro.analysis.campaign`: seeded defects must both trip the lint and
-exhibit the predicted simulator behavior (hang, oracle divergence, or DAC
-safe-mode fallback), and a clean fuzz corpus must lint silently.
+exhibit the predicted simulator behavior (hang, oracle divergence, or
+corruption), and a clean fuzz corpus must lint silently.
 
 The translation-validation layer lives alongside the lint passes:
 :mod:`repro.analysis.symexec` symbolically executes kernels into affine

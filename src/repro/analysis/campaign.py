@@ -1,11 +1,11 @@
 """Differential validation of the lint diagnostics against the simulator.
 
-In the spirit of :mod:`repro.faults.campaign`: each seeded-defect fixture
-must (a) trip its diagnostic code statically and (b) exhibit the dynamic
-behavior the diagnostic predicts — a hang, a divergence from the
-functional oracle, a corruption relative to the clean parent, or (for the
-two advisory codes) provable *harmlessness*.  The clean corpus must lint
-silently and simulate bit-identically to the oracle.
+Each seeded-defect fixture must (a) trip its diagnostic code statically
+and (b) exhibit the dynamic behavior the diagnostic predicts — a hang, a
+divergence from the functional oracle, a corruption relative to the clean
+parent, or (for the two advisory codes) provable *harmlessness*.  The
+clean corpus must lint silently and simulate bit-identically to the
+oracle.
 
 Outcome taxonomy per case:
 
@@ -39,12 +39,11 @@ def _lint(bundle: FixtureBundle):
     return lint_launch(bundle.launch, bundle.config)
 
 
-def _run_timing(bundle: FixtureBundle, safe_mode: bool = False):
+def _run_timing(bundle: FixtureBundle):
     """Timing simulation of a fixture: DAC when it carries a pre-built
     program, the baseline SM otherwise."""
     if bundle.program is not None:
-        return run_dac(bundle.launch, bundle.config,
-                       program=bundle.program, safe_mode=safe_mode)
+        return run_dac(bundle.launch, bundle.config, program=bundle.program)
     return simulate(bundle.launch, bundle.config)
 
 
@@ -142,13 +141,7 @@ def _validate_hang(builder, seed) -> tuple[bool, str, str]:
         # The functional oracle must still terminate: serial warp
         # execution cannot deadlock on a skipped barrier.
         run_functional(builder(seed).launch)
-        detail = f"hang ({exc.reason})"
-        if builder(seed).program is not None:
-            fallback = _run_timing(builder(seed), safe_mode=True)
-            if fallback.stats.get("dac.fallbacks") < 1:
-                return False, "no-fallback", detail
-            detail += "; safe-mode fell back to baseline"
-        return True, "hang", detail
+        return True, "hang", f"hang ({exc.reason})"
     return False, "not-manifested", "simulation completed"
 
 

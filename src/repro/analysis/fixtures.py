@@ -18,8 +18,7 @@ Two roles:
   RPL012    hang        ditto, via engineered per-thread data
   RPL021    mismatch    timing image differs from the functional oracle
   RPL022    mismatch    ditto (stale read wins the race in timing)
-  RPL031    hang        DAC starves on the dropped enqueue; safe mode
-                        falls back to baseline
+  RPL031    hang        DAC starves on the dropped enqueue
   RPL032    misbehave   DAC diverges from the oracle (wrong values,
                         a hang, or a runtime error)
   RPL033    hang        zero-capacity ATQ partition wedges the AEU
@@ -272,20 +271,24 @@ def _decoupled_parent(seed: int, tag: str):
     return kernel, decouple(kernel)
 
 
-def build_rpl031(seed: int) -> FixtureBundle:
-    """Drop the last enqueue from the affine stream: the consumer's final
-    dequeue starves forever."""
-    kernel, program = _decoupled_parent(seed, "qstarve")
+def drop_last_enq(program: DecoupledProgram) -> DecoupledProgram:
+    """``program`` without the affine stream's last enqueue: the
+    consumer's final dequeue starves forever."""
     enq_indices = [i for i, inst in enumerate(program.affine.instructions)
                    if inst.is_enq]
     keep = [inst for i, inst in enumerate(program.affine.instructions)
             if i != enq_indices[-1]]
-    mutated = replace(program, affine=Kernel(
+    return replace(program, affine=Kernel(
         name=program.affine.name, params=program.affine.params,
         instructions=keep, labels=dict(program.affine.labels)))
+
+
+def build_rpl031(seed: int) -> FixtureBundle:
+    """Drop the last enqueue from the affine stream (:func:`drop_last_enq`)."""
+    kernel, program = _decoupled_parent(seed, "qstarve")
     return FixtureBundle(name=f"RPL031/{seed}",
                          launch=_alloc_launch(kernel, seed),
-                         program=mutated)
+                         program=drop_last_enq(program))
 
 
 def build_rpl032(seed: int) -> FixtureBundle:

@@ -591,7 +591,7 @@ def _validate_dynamic(target: Target, mutant: Mutant,
     try:
         run_dac(launch, config, program=mutant.program)
         image = launch.memory.words.copy()
-    except Exception as exc:            # hang, checker, runtime decode error
+    except Exception as exc:            # hang, PWAQ order or decode error
         detail = f"{type(exc).__name__}: {exc}"
         return "caught-dynamic", (detail[:97] + "...") if len(detail) > 100 \
             else detail

@@ -13,8 +13,6 @@ Commands:
 * ``area`` — DAC's §4.8 area overhead;
 * ``figures [NAME]`` — regenerate evaluation figures (fig6, fig16, fig17,
   fig18, fig19, fig20, fig21, or ``all``);
-* ``faults`` — seeded fault-injection campaign: every injected fault must
-  be detected (checker / hang / oracle) or survived, never silent;
 * ``lint`` — static diagnostics (``RPL0xx``) over benchmarks or an
   assembly file; ``--campaign`` differentially validates every diagnostic
   class against the simulator; ``--sarif`` exports findings as SARIF;
@@ -317,34 +315,6 @@ def _parse_seeds(spec: str):
     return [int(s) for s in spec.split(",") if s]
 
 
-def _cmd_faults(args) -> int:
-    from .faults import FAULT_CLASSES
-    from .faults.campaign import run_campaign
-
-    if args.classes:
-        classes = tuple(c.strip() for c in args.classes.split(",") if c)
-        unknown = [c for c in classes if c not in FAULT_CLASSES]
-        if unknown:
-            print(f"unknown fault class(es) {', '.join(unknown)}; choose "
-                  f"from {', '.join(FAULT_CLASSES)}", file=sys.stderr)
-            return 2
-    else:
-        classes = FAULT_CLASSES
-
-    def progress(done, total, cell):
-        if args.verbose:
-            print(f"  [{done}/{total}] seed {cell.seed} {cell.kind}: "
-                  f"{cell.outcome}", file=sys.stderr)
-
-    report = run_campaign(_parse_seeds(args.seeds), classes,
-                          index=args.index, magnitude=args.magnitude,
-                          safe_mode=args.safe_mode,
-                          checkers=not args.no_checkers,
-                          max_cycles=args.max_cycles, progress=progress)
-    print(report.render())
-    return 0 if report.ok else 1
-
-
 def _cmd_serve(args) -> int:
     from .harness.client import default_socket_path
     from .harness.parallel import default_jobs
@@ -581,28 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(figs)
     _add_grid_args(figs)
     figs.set_defaults(func=_cmd_figures)
-
-    faults = sub.add_parser(
-        "faults", help="seeded fault-injection campaign (detect-or-survive)")
-    faults.add_argument("--seeds", default="0:10", metavar="LO:HI|A,B,C",
-                        help="fuzz-kernel seeds (default 0:10)")
-    faults.add_argument("--classes", default=None, metavar="K1,K2",
-                        help="fault classes to inject (default: all)")
-    faults.add_argument("--index", type=int, default=0,
-                        help="which dynamic fault site to hit (default 0)")
-    faults.add_argument("--magnitude", type=int, default=1,
-                        help="fault magnitude (offset words / delay scale)")
-    faults.add_argument("--safe-mode", action="store_true",
-                        help="roll back and replay non-decoupled when a "
-                             "checker fires or the machine wedges")
-    faults.add_argument("--no-checkers", action="store_true",
-                        help="disable the runtime queue/expansion checkers "
-                             "(faults surface via oracle or hang only)")
-    faults.add_argument("--max-cycles", type=int, default=300_000,
-                        help="hang bound per run (default 300000)")
-    faults.add_argument("--verbose", action="store_true",
-                        help="print each cell's outcome as it lands")
-    faults.set_defaults(func=_cmd_faults)
 
     serve = sub.add_parser(
         "serve", help="run the supervised experiment daemon "

@@ -323,10 +323,6 @@ class AffineCTAExec:
                                space=inst.space)
             entry.dcrf = self.dcrf
             atq = self.sm.atq_mem
-        if self.sm.faults.enabled:
-            entry = self.sm.faults.on_enqueue(entry)
-            if entry is None:
-                return                         # injected ATQ drop
         atq.push(cta_key, entry)
         self.sm.stats.add("dac.atq_pushes")
         if self.sm.trace_on:

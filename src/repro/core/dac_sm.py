@@ -118,8 +118,6 @@ class DACSM(SM):
     # ---- cycle -----------------------------------------------------------
 
     def cycle(self, now: int) -> bool:
-        if self.checkers.enabled:
-            self.checkers.on_cycle(self, now)
         progressed = False
         if self.affine_execs:
             if self.aeu.tick(now):
@@ -187,7 +185,6 @@ class DACSM(SM):
     def _try_issue_deq(self, warp: WarpContext, decoded, now: int,
                        scheduler) -> int:
         inst = decoded.inst
-        token = decoded.deq_token
         kind = decoded.deq_kind
         mask, active = warp.issue_mask(decoded)
         if not active:
@@ -206,8 +203,6 @@ class DACSM(SM):
                 scheduler.note_stall("dac.stall_pred_record")
                 scheduler.reject = "queue_empty"
                 return 0
-            if self.checkers.enabled:
-                self.checkers.check_dequeue(self, warp, token, record)
             warp.pwpq.pop()
             self.stats.add("dac.deq_preds")
             if self.trace_on:
@@ -233,8 +228,6 @@ class DACSM(SM):
             scheduler.note_stall("dac.stall_no_record")
             scheduler.reject = "queue_empty"
             return 0
-        if self.checkers.enabled:
-            self.checkers.check_dequeue(self, warp, token, record)
         if record.kind != kind:
             raise RuntimeError(
                 f"PWAQ order mismatch: warp expects {kind}, head is "
@@ -279,9 +272,6 @@ class DACSM(SM):
         if record.locked_lines:
             # Freed lock-table space can unblock an AEU lock acquisition.
             self.aeu.wake()
-        # Idempotent against a duplicated record (fault injection): a second
-        # dequeue of the same object must not steal another record's lock.
-        record.locked_lines = []
         missing = [line for line in record.lines
                    if not (self.l1.contains(line)
                            or self.l1.in_flight(line))]

@@ -2,7 +2,7 @@
 
 Each unit owns one integer ALU and, every cycle it is free, turns the head
 tuple of some CTA's ATQ lane into one per-warp record: the AEU produces a
-warp address record (cache-line addresses + word bit masks) and issues the
+warp address record (cache-line addresses) and issues the
 early, line-locked memory requests for loads; the PEU produces a predicate
 bit vector using the cheapest applicable tier (one comparison for scalar
 predicates, two for monotonic affine operands, full SIMT expansion
@@ -120,22 +120,9 @@ class AddressExpansionUnit(ExpansionUnit):
         else:
             addrs = expr.evaluate(exec_.tx[lane], exec_.ty[lane],
                                   exec_.tz[lane])
-        lines, masks = self.sm.coalescer.lines_and_masks(addrs, mask)
+        lines = self.sm.coalescer.lines(addrs, mask)
         record = AddressRecord(kind=entry.kind, queue_id=entry.queue_id,
-                               lines=lines, word_masks=masks, addrs=addrs,
-                               mask=mask)
-        faults = self.sm.faults
-        records = (record,)
-        if faults.enabled:
-            records = faults.on_address_record(record)
-            if not records:
-                # Injected drop: the ALU work happened but the record is
-                # lost before delivery (and before any early request).
-                self.busy_until = now + faults.expansion_busy(
-                    max(1, len(lines)))
-                self._advance(entry, exec_, key)
-                return True
-            record = records[0]
+                               lines=lines, addrs=addrs, mask=mask)
         stats = self.sm.stats
         stats.add("dac.records")
         if entry.kind == "data":
@@ -157,17 +144,10 @@ class AddressExpansionUnit(ExpansionUnit):
         else:
             stats.add("dac.affine_store_records")
         warp.pwaq.push(record)
-        for extra in records[1:]:
-            # Injected duplicate delivery (dropped silently when the warp's
-            # queue has no room, as real duplicated state would be).
-            if not warp.pwaq.full():
-                warp.pwaq.push(extra)
         # One ALU: one accumulated line address per cycle (Fig. 11 ②③).
         busy = max(1, len(lines))
-        if faults.enabled:
-            busy = faults.expansion_busy(busy)
         self.busy_until = now + busy
-        stats.add("dac.aeu_alu_cycles", max(1, len(lines)))
+        stats.add("dac.aeu_alu_cycles", busy)
         if self.sm.trace_on:
             self.sm.tracer.expand(now, self.sm.index, warp.slot, entry.kind,
                                   entry.queue_id, len(lines))
@@ -209,24 +189,18 @@ class PredicateExpansionUnit(ExpansionUnit):
                     continue
                 if warp.pwpq.full():
                     return False
-            faults = self.sm.faults
             # One shared uniform bit vector serves every warp's record:
-            # consumers only read it, and the fault layer copies before
-            # mutating (faults/plan.py), so aliasing is unobservable.
+            # consumers only read it, so aliasing is unobservable.
             bits = np.full(32, value)
             for w, warp in enumerate(exec_.cta_warps):
                 mask = self._warp_slice(entry, w)
                 if not mask.any():
                     continue
-                record = PredRecord(entry.queue_id, bits, mask.copy())
-                if faults.enabled:
-                    record = faults.on_pred_record(record)
-                warp.pwpq.push(record)
+                warp.pwpq.push(PredRecord(entry.queue_id, bits, mask.copy()))
                 stats.add("dac.pred_records")
                 stats.add("dac.peu_scalar")
             self.atq.pop(key)
-            self.busy_until = now + (faults.expansion_busy(1)
-                                     if faults.enabled else 1)
+            self.busy_until = now + 1
             stats.add("dac.peu_alu_cycles")
             return True
 
@@ -260,14 +234,9 @@ class PredicateExpansionUnit(ExpansionUnit):
                 self.sm.stats.add("dac.peu_simt")
         else:
             self.sm.stats.add("dac.peu_simt")
-        record = PredRecord(entry.queue_id, bits, mask)
-        faults = self.sm.faults
-        if faults.enabled:
-            record = faults.on_pred_record(record)
-        warp.pwpq.push(record)
+        warp.pwpq.push(PredRecord(entry.queue_id, bits, mask))
         self.sm.stats.add("dac.pred_records")
-        self.busy_until = now + (faults.expansion_busy(cost)
-                                 if faults.enabled else cost)
+        self.busy_until = now + cost
         self.sm.stats.add("dac.peu_alu_cycles", cost)
         self._advance(entry, exec_, key)
         return True

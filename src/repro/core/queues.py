@@ -40,12 +40,11 @@ class BarrierMarker:
 @dataclass
 class AddressRecord:
     """One PWAQ entry: a warp's compactly-encoded memory access (line
-    addresses + word bit masks, paper Fig. 11 ⑤)."""
+    addresses, paper Fig. 11 ⑤)."""
 
     kind: str                       # 'data' | 'addr'
     queue_id: int
     lines: list[int]
-    word_masks: list[int]
     addrs: np.ndarray               # concrete per-thread byte addresses
     mask: np.ndarray                # active threads of this warp
     fills_remaining: int = 0        # outstanding early requests (data only)
@@ -115,12 +114,6 @@ class ATQ:
 
     def cta_keys(self) -> list[int]:
         return list(self._queues)
-
-    def recount(self) -> int:
-        """Entries actually resident, walked from the structures (the
-        runtime checkers compare this against the shared budget counter)."""
-        return sum(sum(1 for e in q if isinstance(e, TupleEntry))
-                   for q in self._queues.values())
 
     def __len__(self) -> int:
         return self._count

@@ -36,9 +36,8 @@ BENCH_MATRIX = tuple(
     for technique in ("baseline", "cae", "mta", "dac")
 )
 
-#: One traced and one fault-injected golden pin the observability paths.
+#: One traced golden pins the observability path.
 TRACED_GOLDEN = ("BP", "dac", "tiny")
-FAULT_GOLDEN = ("SG", "dac", "tiny")
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__)))))
@@ -67,8 +66,8 @@ def traced_golden_view(result: RunResult) -> dict:
 
 
 def run_cell(abbr: str, technique: str, scale: str,
-             config: GPUConfig | None = None, trace: bool = False,
-             faults=None, checkers=None) -> RunResult:
+             config: GPUConfig | None = None,
+             trace: bool = False) -> RunResult:
     """One uncached simulation of a matrix cell (the result caches are
     never consulted, so a golden check always exercises the simulator)."""
     config = config or experiment_config()
@@ -78,10 +77,8 @@ def run_cell(abbr: str, technique: str, scale: str,
         from ..trace import Tracer
         tracer = Tracer()
     if technique == "dac":
-        return run_dac(launch, config, tracer=tracer, faults=faults,
-                       checkers=checkers)
-    return simulate(launch, config.with_technique(technique),
-                    tracer=tracer, faults=faults, checkers=checkers)
+        return run_dac(launch, config, tracer=tracer)
+    return simulate(launch, config.with_technique(technique), tracer=tracer)
 
 
 def diff_stats(got: dict, want: dict) -> list[str]:

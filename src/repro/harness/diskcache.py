@@ -31,10 +31,10 @@ ever served for the exact kernel, inputs and config that produced it.
 A job digest names a cell; it never locates a result.
 
 A blob pickles the whole :class:`RunResult`: cycles, Stats, config and
-the ``extra`` payloads readers open (``memory_words``, ``stalls``, and
-``fallback_reason`` after a safe-mode fallback).  ``memory_words`` is the
-final image trimmed the same way as the key's, so a blob scales with the
-memory a kernel touches (kilobytes), not with the device size.
+the ``extra`` payloads readers open (``memory_words`` and ``stalls``).
+``memory_words`` is the final image trimmed the same way as the key's,
+so a blob scales with the memory a kernel touches (kilobytes), not with
+the device size.
 """
 
 from __future__ import annotations

@@ -2,12 +2,12 @@
 
 from .cache import SetAssocCache
 from .coalescer import (CoalesceCache, LINE_SHIFT, LINE_SIZE, coalesce,
-                        line_of, word_mask)
+                        line_of)
 from .dram import DRAM, PerfectMemory
 from .hierarchy import LatencyChannel, MemoryHierarchy
 
 __all__ = [
     "CoalesceCache", "DRAM", "LINE_SHIFT", "LINE_SIZE", "LatencyChannel",
     "MemoryHierarchy", "PerfectMemory", "SetAssocCache", "coalesce",
-    "line_of", "word_mask",
+    "line_of",
 ]

@@ -14,7 +14,6 @@ from typing import Callable
 
 from ..config import CacheConfig
 from ..events import EventQueue
-from ..faults.plan import NULL_FAULTS
 from ..stats import Stats
 from ..trace.tracer import NULL_TRACER
 
@@ -41,14 +40,13 @@ class SetAssocCache:
 
     def __init__(self, name: str, config: CacheConfig, next_level,
                  events: EventQueue, stats: Stats, tracer=NULL_TRACER,
-                 trace_label: str | None = None, faults=NULL_FAULTS):
+                 trace_label: str | None = None):
         self.name = name
         self.config = config
         self.next_level = next_level
         self.events = events
         self.stats = stats
         self.tracer = tracer
-        self.faults = faults
         self.trace_label = trace_label if trace_label is not None else name
         self.num_sets = max(1, config.size_bytes
                             // (config.line_size * config.ways))
@@ -160,8 +158,6 @@ class SetAssocCache:
             else:
                 self._pending_locked_fills.pop(set_idx, None)
         self._insert(line_addr, entry.lock_count)
-        if self.faults.enabled:
-            self.faults.cache_fill(self, line_addr)
         if self.tracer.enabled:
             self.tracer.mem_fill(now, self.trace_label, line_addr)
         for callback in entry.callbacks:

@@ -32,35 +32,20 @@ def line_of(address: int) -> int:
     return (int(address) >> LINE_SHIFT) << LINE_SHIFT
 
 
-def word_mask(line_address: int, addresses: np.ndarray,
-              active: np.ndarray, granularity: int = 4) -> int:
-    """The AEU-style word bit mask for one line (paper Fig. 11 ④): bit *i*
-    set means word *i* of the 128-byte line is accessed by some thread."""
-    in_line = active & ((addresses.astype(np.int64) >> LINE_SHIFT)
-                        == (line_address >> LINE_SHIFT))
-    words = ((addresses[in_line].astype(np.int64) - line_address)
-             // granularity)
-    # OR is idempotent, so no np.unique pass is needed; the reduce
-    # identity covers the no-active-lane case (mask 0).
-    return int(np.bitwise_or.reduce(np.int64(1) << words, initial=0))
-
-
 class CoalesceCache:
     """Memoized coalescing for the dominant affine access patterns.
 
     A warp's coalescing result depends only on the active threads' addresses
     *relative to the first active address's line*: shifting every address by
-    a whole number of lines shifts the line list by the same amount and
-    leaves the word masks unchanged.  Strided workloads therefore repeat a
-    tiny number of relative patterns across thousands of accesses, and the
-    ``np.unique`` + per-line mask loop can be computed once per pattern.
+    a whole number of lines shifts the line list by the same amount.
+    Strided workloads therefore repeat a tiny number of relative patterns
+    across thousands of accesses, and the ``np.unique`` pass can be
+    computed once per pattern.
 
-    Correctness relies on two exact identities over int64:
+    Correctness relies on one exact identity over int64:
     ``(a - b*LINE_SIZE) >> LINE_SHIFT == (a >> LINE_SHIFT) - b`` (arithmetic
-    shift; the subtrahend is line-aligned) and the word offsets
-    ``a - line_address`` being invariant under the same shift.  The fault
-    checkers recompute records through the uncached module functions, so a
-    cache defect would trip the expansion-consistency checker.
+    shift; the subtrahend is line-aligned).  The tests check the cache
+    against the uncached :func:`coalesce`.
     """
 
     __slots__ = ("_patterns",)
@@ -71,49 +56,21 @@ class CoalesceCache:
     MAX_PATTERNS = 1 << 14
 
     def __init__(self) -> None:
-        self._patterns: dict[bytes, tuple[tuple[int, ...],
-                                          tuple[int, ...]]] = {}
-
-    def _pattern(self, addresses: np.ndarray,
-                 active: np.ndarray) -> tuple[tuple, int] | None:
-        act = addresses[active].astype(np.int64)
-        if act.size == 0:
-            return None
-        base_line = int(act[0]) >> LINE_SHIFT
-        rel = act - (base_line << LINE_SHIFT)
-        key = rel.tobytes()
-        pattern = self._patterns.get(key)
-        if pattern is None:
-            rel_lines = rel >> LINE_SHIFT
-            lines, inverse = np.unique(rel_lines, return_inverse=True)
-            # ``(rel >> 2) & 31`` is ``(rel mod LINE_SIZE) // 4`` — the
-            # in-line word index — and stays exact for negative ``rel``
-            # (arithmetic shift is floor division; & 31 is mod 32).
-            word_bits = np.int64(1) << ((rel >> 2) & 31)
-            masks = np.zeros(len(lines), dtype=np.int64)
-            np.bitwise_or.at(masks, inverse, word_bits)
-            pattern = (tuple(int(line) for line in lines),
-                       tuple(int(m) for m in masks))
-            if len(self._patterns) >= self.MAX_PATTERNS:
-                self._patterns.clear()
-            self._patterns[key] = pattern
-        return pattern, base_line
+        self._patterns: dict[bytes, tuple[int, ...]] = {}
 
     def lines(self, addresses: np.ndarray, active: np.ndarray) -> list[int]:
         """Memoized :func:`coalesce` (identical result)."""
-        hit = self._pattern(addresses, active)
-        if hit is None:
+        act = addresses[active].astype(np.int64)
+        if act.size == 0:
             return []
-        pattern, base = hit
-        return [(base + line) << LINE_SHIFT for line in pattern[0]]
-
-    def lines_and_masks(self, addresses: np.ndarray,
-                        active: np.ndarray) -> tuple[list[int], list[int]]:
-        """Memoized (:func:`coalesce`, per-line :func:`word_mask`) pair at
-        the AEU's 4-byte granularity (identical results)."""
-        hit = self._pattern(addresses, active)
-        if hit is None:
-            return [], []
-        pattern, base = hit
-        return ([(base + line) << LINE_SHIFT for line in pattern[0]],
-                list(pattern[1]))
+        base = int(act[0]) >> LINE_SHIFT
+        rel = act - (base << LINE_SHIFT)
+        key = rel.tobytes()
+        pattern = self._patterns.get(key)
+        if pattern is None:
+            pattern = tuple(int(line)
+                            for line in np.unique(rel >> LINE_SHIFT))
+            if len(self._patterns) >= self.MAX_PATTERNS:
+                self._patterns.clear()
+            self._patterns[key] = pattern
+        return [(base + line) << LINE_SHIFT for line in pattern]

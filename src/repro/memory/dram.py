@@ -15,7 +15,6 @@ from typing import Callable
 
 from ..config import DRAMConfig
 from ..events import EventQueue
-from ..faults.plan import NULL_FAULTS
 from ..stats import Stats
 
 
@@ -30,12 +29,11 @@ class DRAM:
     """
 
     def __init__(self, config: DRAMConfig, events: EventQueue, stats: Stats,
-                 name: str = "dram", faults=NULL_FAULTS):
+                 name: str = "dram"):
         self.config = config
         self.events = events
         self.stats = stats
         self.name = name
-        self.faults = faults
         n = config.num_banks
         self._queues: list[deque] = [deque() for _ in range(n)]
         self._bank_free = [0] * n
@@ -129,11 +127,8 @@ class DRAM:
         data_start = max(float(done), self._bus_free)
         self._bus_free = data_start + self.config.burst_cycles
         if cb is not None:
-            finish = int(data_start + self.config.burst_cycles
-                         + self._pipe_out)
-            if self.faults.enabled:
-                finish += self.faults.dram_delay()
-            self.events.schedule(finish, cb)
+            self.events.schedule(int(data_start + self.config.burst_cycles
+                                     + self._pipe_out), cb)
         if queue:
             self._schedule_kick(bank, done)
 

@@ -6,7 +6,6 @@ from typing import Callable
 
 from ..config import GPUConfig
 from ..events import EventQueue
-from ..faults.plan import NULL_FAULTS
 from ..stats import Stats
 from ..trace.tracer import NULL_TRACER
 from .cache import SetAssocCache
@@ -43,7 +42,7 @@ class MemoryHierarchy:
     """
 
     def __init__(self, config: GPUConfig, events: EventQueue, stats: Stats,
-                 tracer=NULL_TRACER, faults=NULL_FAULTS):
+                 tracer=NULL_TRACER):
         self.config = config
         self.events = events
         self.stats = stats
@@ -55,14 +54,13 @@ class MemoryHierarchy:
             self._perfect = True
             return
         self._perfect = False
-        self.dram = DRAM(config.dram, events, stats, faults=faults)
+        self.dram = DRAM(config.dram, events, stats)
         self.l2 = SetAssocCache("l2", config.l2, self.dram, events, stats,
-                                tracer=tracer, faults=faults)
+                                tracer=tracer)
         icnt = LatencyChannel(self.l2, config.interconnect_latency, events)
         self.l1s = [
             SetAssocCache("l1", config.l1, icnt, events, stats,
-                          tracer=tracer, trace_label=f"l1.{i}",
-                          faults=faults)
+                          tracer=tracer, trace_label=f"l1.{i}")
             for i in range(config.num_sms)
         ]
 

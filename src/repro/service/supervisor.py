@@ -73,7 +73,7 @@ def _worker_main(conn, heartbeat, cache_dir) -> None:
     :data:`HEARTBEAT_INTERVAL` seconds — proof the *process* is alive;
     per-job progress is judged by the parent's ``job_timeout``, not by us.
     """
-    from ..faults import chaos
+    from . import chaos
     from ..harness import runner
     chaos.install_from_env()
     if cache_dir is not None:

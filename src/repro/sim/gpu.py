@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from ..compiler.cfg import CFG
 from ..config import GPUConfig
 from ..events import EventQueue
-from ..faults import NULL_CHECKERS, NULL_FAULTS
 from ..memory.coalescer import CoalesceCache
 from ..memory.hierarchy import MemoryHierarchy
 from ..stats import Stats
@@ -27,7 +26,7 @@ class SimulationHang(DeadlockError):
     (``no_progress``) or the run hit the ``max_cycles`` wall.
 
     Beyond the message, the exception carries machine-readable state so the
-    harness and the fault campaign can classify hangs without parsing text:
+    harness and the lint campaign can classify hangs without parsing text:
     the stall reason every scheduler recorded at the moment of death,
     DAC queue occupancies, the cycle of the last issued instruction, and a
     per-warp state table.
@@ -109,20 +108,15 @@ class RunResult:
 class GPU:
     """A simulated GPU instance.  Create one per kernel launch."""
 
-    def __init__(self, config: GPUConfig, dac_program=None, tracer=None,
-                 faults=None, checkers=None):
+    def __init__(self, config: GPUConfig, dac_program=None, tracer=None):
         self.config = config
         self.dac_program = dac_program
         self.stats = Stats()
         self.events = EventQueue()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.faults = faults if faults is not None else NULL_FAULTS
-        self.checkers = checkers if checkers is not None else NULL_CHECKERS
-        self.faults.attach(self)
         self.now = 0
         self.hierarchy = MemoryHierarchy(config, self.events, self.stats,
-                                         tracer=self.tracer,
-                                         faults=self.faults)
+                                         tracer=self.tracer)
         self.coalescer = CoalesceCache()
         self.sms = [self._make_sm(i) for i in range(config.num_sms)]
         self._pending_blocks: deque[tuple[int, int, int]] = deque()
@@ -299,8 +293,7 @@ class GPU:
         return lines
 
 
-def simulate(launch: KernelLaunch, config: GPUConfig, tracer=None,
-             faults=None, checkers=None) -> RunResult:
+def simulate(launch: KernelLaunch, config: GPUConfig,
+             tracer=None) -> RunResult:
     """Convenience one-call entry point."""
-    return GPU(config, tracer=tracer, faults=faults,
-               checkers=checkers).run(launch)
+    return GPU(config, tracer=tracer).run(launch)

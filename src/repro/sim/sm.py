@@ -29,8 +29,6 @@ class SM:
         self.events = gpu.events
         self.tracer = gpu.tracer
         self.trace_on = gpu.tracer.enabled
-        self.faults = gpu.faults
-        self.checkers = gpu.checkers
         self.l1 = gpu.hierarchy.l1_of(index)
         self.coalescer = gpu.coalescer
         self.ctas: list[CTAState] = []

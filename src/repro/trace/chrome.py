@@ -67,12 +67,6 @@ def chrome_trace(tracer: Tracer) -> dict:
             events.append({"name": name, "ph": "i", "s": "p",
                            "ts": float(ts), "pid": sm, "tid": _CTA_TID,
                            "cat": kind, "args": payload})
-        elif kind == "fault":
-            # Injected faults render globally: one mark explains a whole
-            # downstream anomaly (a starved queue, a late fill burst).
-            events.append({"name": name, "ph": "i", "s": "g",
-                           "ts": float(ts), "pid": sm, "tid": _CTA_TID,
-                           "cat": kind, "args": args or {}})
 
     for cycle, sm, atq, pwaq, pwpq, runahead in tracer.samples:
         sms_seen.add(sm)

@@ -76,9 +76,6 @@ class NullTracer:
     def barrier_release(self, now, sm, block_idx):
         pass
 
-    def fault(self, now, kind, detail):
-        pass
-
     def cta_assign(self, now, sm, block_idx):
         pass
 
@@ -169,10 +166,6 @@ class Tracer(NullTracer):
     def barrier_release(self, now, sm, block_idx):
         self.events.append(("barrier", now, sm, 0, "barrier.release",
                             {"block": tuple(block_idx)}))
-
-    def fault(self, now, kind, detail):
-        self.events.append(("fault", now, 0, 0, f"fault.{kind}",
-                            {"detail": detail}))
 
     def cta_assign(self, now, sm, block_idx):
         self.events.append(("cta", now, sm, 0, "cta.assign",

@@ -27,10 +27,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from repro.faults import FaultInjector, FaultPlan, FaultSpec, \
-    RuntimeCheckers                                          # noqa: E402
 from repro.harness.bench import BENCH_MATRIX, GOLDEN_MATRIX, \
-    FAULT_GOLDEN, TRACED_GOLDEN, golden_name, run_cell, \
+    TRACED_GOLDEN, golden_name, run_cell, \
     traced_golden_view                                       # noqa: E402
 from repro.harness.runner import experiment_config           # noqa: E402
 
@@ -52,15 +50,6 @@ def main() -> int:
     result = run_cell(abbr, technique, scale, config, trace=True)
     _write(f"traced_{golden_name(abbr, technique, scale)}",
            traced_golden_view(result))
-
-    # Fault-injected run: deterministic timing-only faults.
-    abbr, technique, scale = FAULT_GOLDEN
-    plan = FaultPlan(specs=(FaultSpec("expand_delay", 0, 4),
-                            FaultSpec("dram_delay", 0, 8)))
-    result = run_cell(abbr, technique, scale, config,
-                      faults=FaultInjector(plan), checkers=RuntimeCheckers())
-    _write(f"fault_{golden_name(abbr, technique, scale)}",
-           dict(sorted(result.stats.as_dict().items())))
     return 0
 
 

@@ -10,7 +10,6 @@ from repro.isa import parse_kernel
 from repro.sim import GPUConfig, GlobalMemory, KernelLaunch
 from repro.sim.launch import CTAState
 from repro.stats import Stats
-from repro.faults import NULL_FAULTS
 from repro.trace import NULL_TRACER
 
 
@@ -25,7 +24,6 @@ class _FakeSM:
         self.config = GPUConfig(num_sms=1)
         self.trace_on = False
         self.tracer = NULL_TRACER
-        self.faults = NULL_FAULTS
 
 
 def make_exec(source, params=(), block=(64, 1, 1), param_values=None):

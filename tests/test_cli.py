@@ -58,9 +58,11 @@ class TestParser:
         ["serve", "--drain-timeout", "5"],
         ["figures", "--checkpoint", "D"],
         ["compare", "CP", "--retry-quarantined"],
-        ["serve", "--no-cache"]],
+        ["serve", "--no-cache"],
+        ["faults"]],
         ids=["queue-limit", "heartbeat-timeout", "drain-timeout",
-             "checkpoint", "retry-quarantined", "serve-no-cache"])
+             "checkpoint", "retry-quarantined", "serve-no-cache",
+             "faults"])
     def test_retired_flags_are_errors(self, argv):
         with pytest.raises(SystemExit) as info:
             build_parser().parse_args(argv)
@@ -185,24 +187,6 @@ class TestCommands:
     def test_figures_fig6(self, capsys):
         assert main(["figures", "fig6", "--sms", "2"]) == 0
         assert "Figure 6" in capsys.readouterr().out
-
-
-class TestFaultsCommand:
-    def test_campaign_detects_or_survives(self, capsys):
-        assert main(["faults", "--seeds", "0:2",
-                     "--classes", "atq_drop,dram_delay"]) == 0
-        out = capsys.readouterr().out
-        assert "detect-or-survive" in out
-        assert "no silent failures" in out
-
-    def test_rejects_unknown_class(self, capsys):
-        assert main(["faults", "--classes", "rowhammer"]) == 2
-        assert "unknown fault class" in capsys.readouterr().err
-
-    def test_safe_mode_falls_back(self, capsys):
-        assert main(["faults", "--seeds", "0:1",
-                     "--classes", "atq_drop", "--safe-mode"]) == 0
-        assert "fallback=1" in capsys.readouterr().out
 
 
 class TestCertifyCommand:

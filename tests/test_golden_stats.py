@@ -1,7 +1,7 @@
 """Golden-Stats regression matrix: bit-identity against committed fixtures.
 
 Every cell of the perf harness's golden matrix (six workloads x four
-techniques, tiny scale) plus one traced and one fault-injected run must
+techniques, tiny scale) plus one traced run must
 reproduce the committed Stats under ``tests/goldens/stats`` exactly, and
 every golden cell (the matrix plus the paper-scale bench matrix) its
 issue-slot attribution in ``tests/goldens/stalls.json``.  A
@@ -15,10 +15,8 @@ import os
 
 import pytest
 
-from repro.faults import FaultInjector, FaultPlan, FaultSpec, RuntimeCheckers
 from repro.harness.bench import (
     BENCH_MATRIX,
-    FAULT_GOLDEN,
     GOLDEN_MATRIX,
     TRACED_GOLDEN,
     diff_stats,
@@ -100,17 +98,6 @@ def test_traced_equals_untraced():
     diff = diff_stats(traced.stats.as_dict(), plain.stats.as_dict())
     assert not diff, "tracing changed timing:\n" + "\n".join(diff)
     assert traced.extra["stalls"] == plain.extra["stalls"]
-
-
-@RUN_CONFIG
-def test_fault_injected_run_matches_golden(config):
-    abbr, technique, scale = FAULT_GOLDEN
-    plan = FaultPlan(specs=(FaultSpec("expand_delay", 0, 4),
-                            FaultSpec("dram_delay", 0, 8)))
-    result = run_cell(abbr, technique, scale, config,
-                      faults=FaultInjector(plan), checkers=RuntimeCheckers())
-    _assert_matches_golden(
-        result, "fault_" + golden_name(abbr, technique, scale))
 
 
 def test_issue_window_ends_at_busy_until():

@@ -5,19 +5,20 @@ no-progress detector — raise :class:`SimulationHang` carrying the
 per-scheduler stall attribution, DAC queue occupancies, and a per-warp
 state table, so a wedged run explains itself instead of printing a bare
 cycle count.  The wedge kernels here are deterministic: an infinite loop
-(max_cycles), a dropped address record starving a dequeue (queue
-starvation), and a starved warp on one side of a barrier (barrier
-mismatch).
+(max_cycles), and two hand-edited decoupled programs run through
+``run_dac(..., program=)``: an affine stream missing its last ``enq``
+starving a dequeue (queue starvation), and a warp that dequeues one record
+too many on one side of a barrier (barrier mismatch).
 """
 
 import dataclasses
 
 import pytest
 
+from repro.analysis.fixtures import drop_last_enq
 from repro.compiler.decouple import decouple
 from repro.compiler.verifier import verify
 from repro.core import run_dac
-from repro.faults import FaultPlan
 from repro.isa import parse_kernel
 from repro.sim import (
     DeadlockError,
@@ -60,12 +61,31 @@ COPY_BARRIER = """
 """
 
 
+#: Inserted before the non-affine stream's ``bar``: warp 0 (tid < 32)
+#: dequeues a second data record that the affine stream never enqueues.
+STARVE_WARP0 = """
+    setp.ge p0, %tid.x, 32;
+    @p0 bra SKIP;
+    ld.global xw, deq.data;
+SKIP:
+"""
+
+
 def _copy_launch(source, block):
     mem = GlobalMemory(1 << 20)
     params = dict(X=mem.alloc(64), O=mem.alloc(64))
     kernel = parse_kernel(source, name="t", params=tuple(params))
     assert verify(decouple(kernel)).ok
     return KernelLaunch(kernel, (1, 1, 1), block, params, mem)
+
+
+def _starve_warp0_before_barrier(program):
+    nonaffine = program.nonaffine
+    text = "\n".join(str(inst) for inst in nonaffine.instructions)
+    assert text.count("bar;") == 1
+    text = text.replace("bar;", STARVE_WARP0 + "bar;")
+    return dataclasses.replace(program, nonaffine=parse_kernel(
+        text, name=nonaffine.name, params=nonaffine.params))
 
 
 class TestMaxCyclesPath:
@@ -105,14 +125,14 @@ class TestMaxCyclesPath:
 
 class TestQueueStarvation:
     def test_record_drop_starves_dequeue(self):
-        """Dropping the warp's last expanded record (the store) leaves the
-        consumer waiting on an empty PWAQ with no event ever coming: the
-        no-progress detector must fire and attribute the stall to the
+        """Without the store's ``enq`` the warp's last record never comes,
+        so the consumer waits on an empty PWAQ with no event ever coming:
+        the no-progress detector must fire and attribute the stall to the
         empty queue."""
         launch = _copy_launch(COPY, block=(32, 1, 1))
+        program = drop_last_enq(decouple(launch.kernel))
         with pytest.raises(SimulationHang) as info:
-            run_dac(launch, CFG,
-                    faults=FaultPlan.single("record_drop", 1).injector())
+            run_dac(launch, CFG, program=program)
         hang = info.value
         assert hang.reason == "no_progress"
         assert "queue_empty" in hang.stall_snapshot
@@ -126,13 +146,13 @@ class TestQueueStarvation:
 
 class TestBarrierMismatch:
     def test_starved_warp_wedges_its_barrier_partner(self):
-        """Warp 0's record is dropped so it never reaches the barrier;
-        warp 1 waits there forever.  The hang report must show both the
-        empty-queue stall and the barrier wait."""
+        """Warp 0 waits for a record that never comes, so it never reaches
+        the barrier; warp 1 waits there forever.  The hang report must show
+        both the empty-queue stall and the barrier wait."""
         launch = _copy_launch(COPY_BARRIER, block=(64, 1, 1))
+        program = _starve_warp0_before_barrier(decouple(launch.kernel))
         with pytest.raises(SimulationHang) as info:
-            run_dac(launch, CFG,
-                    faults=FaultPlan.single("record_drop", 0).injector())
+            run_dac(launch, CFG, program=program)
         hang = info.value
         assert hang.reason == "no_progress"
         assert "queue_empty" in hang.stall_snapshot

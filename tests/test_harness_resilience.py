@@ -3,13 +3,13 @@ corrupt-cache quarantine, and failure classification.
 
 The tests marked ``resilience`` drive ``run_grid``'s real supervised
 worker pool.  Spawned workers do not see monkeypatches, so faults are
-injected through ``REPRO_CHAOS`` (:mod:`repro.faults.chaos`): a worker
+injected through ``REPRO_CHAOS`` (:mod:`repro.service.chaos`): a worker
 that dies mid-cell, and a genuinely hung worker the grid must survive.
 """
 
 import pytest
 
-from repro.faults import chaos
+from repro.service import chaos
 from repro.harness import GridReport, clear_cache, configure_cache, experiment_config
 from repro.harness import runner
 from repro.harness.client import RemoteTaskError

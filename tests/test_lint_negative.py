@@ -75,18 +75,18 @@ class TestCampaignValidators:
 
 @pytest.mark.resilience
 class TestCampaignDynamic:
-    """Slow validators: these spin up the timing simulator and (for the
-    queue codes) the DAC safe-mode fallback path."""
+    """Slow validators: these spin up the timing simulator (DAC for the
+    queue codes)."""
 
     def test_barrier_divergence_hangs(self):
         result = run_case("RPL011", seed=0)
         assert result.ok, vars(result)
         assert result.outcome == "hang"
 
-    def test_missing_enqueue_hangs_then_falls_back(self):
+    def test_missing_enqueue_hangs(self):
         result = run_case("RPL031", seed=0)
         assert result.ok, vars(result)
-        assert "safe-mode" in result.detail
+        assert result.outcome == "hang"
 
     def test_race_diverges_from_oracle(self):
         result = run_case("RPL021", seed=0)

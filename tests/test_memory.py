@@ -12,7 +12,6 @@ from repro.memory import (
     SetAssocCache,
     coalesce,
     line_of,
-    word_mask,
 )
 from repro.memory.coalescer import CoalesceCache
 from repro.stats import Stats
@@ -71,18 +70,6 @@ class TestCoalescer:
         active = np.ones(32, dtype=bool)
         assert coalesce(addrs, active) == [0x2000]
 
-    def test_word_mask_stride4(self):
-        addrs = np.arange(32) * 4.0 + 0x1000
-        active = np.ones(32, dtype=bool)
-        assert word_mask(0x1000, addrs, active) == (1 << 32) - 1
-
-    def test_word_mask_stride8(self):
-        addrs = np.arange(32) * 8.0 + 0x1000
-        active = np.ones(32, dtype=bool)
-        mask = word_mask(0x1000, addrs, active)
-        assert mask == int("01" * 16, 2) or mask == sum(
-            1 << (2 * i) for i in range(16))
-
     @given(st.integers(min_value=0, max_value=1 << 20),
            st.integers(min_value=1, max_value=64),
            st.lists(st.booleans(), min_size=32, max_size=32))
@@ -100,7 +87,7 @@ class TestCoalescer:
 
 
 
-# ---- coalescer vectorisation vs lane-loop references ---------------------
+# ---- CoalesceCache vs the uncached coalesce() reference ------------------
 
 lane_addresses = st.lists(
     st.integers(min_value=0, max_value=1 << 20).map(lambda w: w * 4),
@@ -119,35 +106,16 @@ ONE_LANE = np.eye(1, 32, 17, dtype=bool)[0]
 @example(np.arange(32) * 4.0, ALL_ON)
 @example(np.arange(32) * 4.0, ONE_LANE)
 @example(np.full(32, 4096.0), ALL_ON)
+@example(np.arange(32)[::-1] * 4.0, ALL_ON)   # descending: negative rel
 @settings(max_examples=200)
 def test_coalesce_cache_matches_lane_loop(addresses, active):
-    """``CoalesceCache`` (vectorized, memoized) == the uncached module
-    functions, for both the line list and every per-line word mask."""
+    """``CoalesceCache`` (vectorized, memoized) == the uncached
+    :func:`coalesce`."""
     cache = CoalesceCache()
     expect_lines = coalesce(addresses, active)
-    got_lines = cache.lines(addresses, active)
-    assert got_lines == expect_lines
-    lines2, masks = cache.lines_and_masks(addresses, active)
-    assert lines2 == expect_lines
-    assert masks == [word_mask(line, addresses, active)
-                     for line in expect_lines]
+    assert cache.lines(addresses, active) == expect_lines
     # Second query must hit the memo table and still agree.
-    assert cache.lines_and_masks(addresses, active) == (lines2, masks)
-
-
-@given(lane_addresses, lane_bools)
-@example(np.arange(32)[::-1] * 4.0, ALL_ON)   # descending: negative rel
-def test_word_mask_reference_loop(addresses, active):
-    """The vectorized :func:`word_mask` == the naive per-lane OR loop."""
-    for line in coalesce(addresses, active):
-        expect = 0
-        for lane in range(32):
-            if not active[lane]:
-                continue
-            addr = int(addresses[lane])
-            if (addr >> 7) == (line >> 7):
-                expect |= 1 << ((addr - line) // 4)
-        assert word_mask(line, addresses, active) == expect
+    assert cache.lines(addresses, active) == expect_lines
 
 class TestCache:
     def test_miss_then_hit(self):

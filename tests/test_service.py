@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import GPUConfig
-from repro.faults import chaos
+from repro.service import chaos
 from repro.harness import clear_cache, configure_cache, experiment_config
 from repro.harness import client, diskcache, runner
 from repro.harness.client import (

@@ -17,7 +17,7 @@ bit-identical to a serial reference run.  The scenarios:
   one the daemon ran misses there and simulates locally.
 
 Chaos is injected via the ``REPRO_CHAOS*`` environment variables
-(:mod:`repro.faults.chaos`) passed to the daemon subprocess only — the
+(:mod:`repro.service.chaos`) passed to the daemon subprocess only — the
 pytest process itself simulates chaos-free serial references.  The
 ``REPRO_CHAOS_LOG`` census proves the exactly-once claims: cache and
 journal hits never log, so every line is a genuine re-simulation.
@@ -42,7 +42,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.faults import chaos
+from repro.service import chaos
 from repro.harness import clear_cache, configure_cache, experiment_config
 from repro.harness import diskcache, runner
 from repro.harness.client import (
