@@ -15,8 +15,16 @@ share one set of failure semantics:
   cell takes a strike.  After ``retries + 1`` strikes the cell is
   **quarantined** — the rest of the grid still completes, and the
   quarantine list is reported instead of the whole sweep dying.
-* **A pool that cannot start** (``OSError`` while spawning workers) runs
+* **A pool that cannot start** (``OSError`` while starting workers) runs
   the grid serially in the parent.
+
+The pool's first workers are forked from this already-imported process
+when it has one Python thread, so they reach their first cell in
+milliseconds; respawns are spawned (see :mod:`repro.service.supervisor`).
+The supervisor hands each finished cell over as its
+:func:`~repro.harness.diskcache.encode_result` blob, and the caller's
+thread decodes it, so a blob that fails to decode raises out of
+:func:`run_grid`.
 
 Workers consult and feed the same on-disk cache as the parent (entries are
 written atomically, so concurrent writers are safe), and the parent
@@ -40,7 +48,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..sim.gpu import RunResult
-from .diskcache import job_digest
+from .diskcache import decode_result, job_digest
 
 #: Task: (benchmark abbr, technique, GPUConfig).
 Task = tuple
@@ -188,7 +196,8 @@ class _Grid:
 def _run_supervised(grid: _Grid, pending: list, jobs: int,
                     timeout: float | None, retries: int) -> None:
     """Run ``pending`` on an in-process supervised pool.  The supervisor
-    thread only queues events; this (the caller's) thread settles them."""
+    thread only queues events; this (the caller's) thread decodes and
+    settles them."""
     from ..service import supervisor
     from . import runner
     from .client import RemoteTaskError
@@ -220,8 +229,8 @@ def _run_supervised(grid: _Grid, pending: list, jobs: int,
         unsettled = len(tasks)
         while unsettled:
             event, digest, args = events.get()
-            if event == "done":                 # (task, scale, result)
-                grid.finish(tasks[digest], args[-1])
+            if event == "done":                 # (task, scale, blob)
+                grid.finish(tasks[digest], decode_result(args[-1]))
             elif event == "quarantined":        # (task, scale, error)
                 grid.quarantine(tasks[digest], args[-1])
             elif event == "failed":             # (kind, message, hang)

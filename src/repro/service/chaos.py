@@ -4,7 +4,7 @@ This module injects *infrastructure* faults — a worker process that
 dies, wedges, or slows down mid-cell — which is what the
 service supervisor (heartbeats, watchdog, circuit breakers, journal
 replay) exists to survive.  Hooks are driven entirely by environment
-variables so they cross every process boundary (spawned workers,
+variables so they cross every process boundary (forked and spawned workers,
 daemon subprocesses, restarts) without monkeypatching:
 
 ``REPRO_CHAOS``

@@ -219,8 +219,9 @@ class ExperimentDaemon:
 
     # -- supervisor callbacks (supervisor thread) ---------------------------
 
-    def _sup_done(self, digest, task, scale, result) -> None:
-        # The worker stored ``result`` in the cache before reporting.
+    def _sup_done(self, digest, task, scale, blob) -> None:
+        # The worker stored the result in the cache before reporting, and
+        # clients read it there: ``blob`` is never decoded here.
         self.journal.record_done(digest)
         self.loop.call_soon_threadsafe(self._settle, digest, DONE, None)
 

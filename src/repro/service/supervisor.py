@@ -29,18 +29,55 @@ The supervisor is synchronous and thread-driven so it can be used (and
 chaos-tested) without the asyncio daemon on top: the daemon bridges the
 callbacks onto its event loop, ``run_grid`` onto a queue its caller's
 thread drains.
+
+**How workers start.**  A worker is *forked* when the process has one
+Python thread (``threading.active_count() == 1``) and *spawned*
+otherwise.  :class:`Supervisor` starts its pool before it starts its
+own thread, so the first pool of ``run_grid`` and of the daemon's
+``start()`` forks: a forked worker inherits the already-imported numpy
+and ``repro`` and reaches its first cell in milliseconds, where a
+spawned one first re-imports them in a fresh interpreter (0.35-0.6 s
+on a 2-vCPU Xeon).  A respawn runs on the supervisor thread, so it spawns:
+forking a multi-threaded parent can hand the child a lock some other
+thread held mid-flight, and a respawn already follows a crash or a
+timeout, so its start-up cost is noise.  What forking implies:
+
+* The child inherits the parent's memory: the memo cache, the disk-cache
+  setting (the worker re-configures it) and any monkeypatch, e.g. a test's
+  counting wrapper around ``runner.simulate_launch``.  The counts stay in
+  the child, as they do with spawn.
+* Each supervisor-side pipe end is registered with
+  ``multiprocessing.util.register_after_fork`` to close in every forked
+  child.  Otherwise a forked worker would hold its own supervisor end
+  (and its older siblings') open and never see EOF when the supervisor
+  dies, and outlive it.
+* ``multiprocessing`` flushes stdio before it forks and ends the child
+  with ``os._exit``, so no buffered file is written twice.
+* numpy's OpenBLAS thread pool re-initialises itself through its atfork
+  handlers.  Those threads are OS threads, not Python ones: on Python
+  3.12+ ``os.fork`` warns (``DeprecationWarning``) whenever the OS
+  reports more than one thread, and OpenBLAS's count.
+
+**Wake pipe.**  The dispatch loop waits on the workers' pipes and on
+one ``os.pipe()`` that :meth:`Supervisor.submit` and
+:meth:`Supervisor.close` write a byte to, so a submitted job is sent
+and a close is seen at once; :data:`POLL_INTERVAL` only paces the
+watchdog.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import multiprocessing.connection
+import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing import util
+from multiprocessing.connection import Connection
 
-from ..harness.diskcache import decode_result, encode_result
+from ..harness.diskcache import encode_result
 from ..sim.gpu import SimulationHang
 
 #: Job states a supervisor reports.
@@ -50,17 +87,20 @@ QUEUED, RUNNING, DONE, FAILED, QUARANTINED = \
 #: Strike reason prefix of a cell that outlived ``job_timeout``.
 TIMED_OUT = "exceeded job_timeout"
 
-#: "spawn" on purpose: the supervisor thread (and, in the daemon, an
-#: event loop) is already running when a worker is respawned, and a
-#: forked child inheriting their lock states mid-flight is exactly the
-#: kind of heisenbug this subsystem exists to kill.
-START_METHOD = "spawn"
 #: Seconds between worker heartbeat stamps.
 HEARTBEAT_INTERVAL = 0.25
 #: Seconds without a heartbeat stamp before the watchdog kills a worker.
 HEARTBEAT_TIMEOUT = 15.0
-#: Seconds the dispatch loop waits for worker messages per round.
+#: Seconds the dispatch loop waits for worker messages per round when
+#: nothing wakes it: the watchdog's pace.
 POLL_INTERVAL = 0.1
+
+
+def _start_context():
+    """Fork while the process has one Python thread, else spawn (see the
+    module docstring for why)."""
+    single = threading.active_count() == 1
+    return mp.get_context("fork" if single else "spawn")
 
 
 def _worker_main(conn, heartbeat, cache_dir) -> None:
@@ -131,35 +171,40 @@ class WorkerInfo:
     busy: str | None          # digest of the running job, if any
     heartbeat_age: float
     respawns: int
+    start_method: str         # "fork" or "spawn"
 
     def to_dict(self) -> dict:
         return {"wid": self.wid, "pid": self.pid, "alive": self.alive,
                 "busy": self.busy,
                 "heartbeat_age": round(self.heartbeat_age, 3),
-                "respawns": self.respawns}
+                "respawns": self.respawns,
+                "start_method": self.start_method}
 
 
 class _Worker:
-    def __init__(self, wid: int, ctx, cache_dir):
+    def __init__(self, wid: int, cache_dir):
         self.wid = wid
         self.respawns = 0
-        self._ctx = ctx
         self._cache_dir = cache_dir
         self.conn = None
         self.proc = None
         self.heartbeat = None
+        self.start_method = ""
         self.job: str | None = None
         self.busy_since: float | None = None
         self.spawn()
 
     def spawn(self) -> None:
-        parent, child = self._ctx.Pipe(duplex=True)
-        self.heartbeat = self._ctx.Value("d", time.time())
-        self.proc = self._ctx.Process(
+        ctx = _start_context()
+        parent, child = ctx.Pipe(duplex=True)
+        util.register_after_fork(parent, Connection.close)
+        self.heartbeat = ctx.Value("d", time.time())
+        self.proc = ctx.Process(
             target=_worker_main,
             args=(child, self.heartbeat, self._cache_dir),
             daemon=True, name=f"repro-worker-{self.wid}")
         self.proc.start()
+        self.start_method = ctx.get_start_method()
         child.close()
         self.conn = parent
         self.job = None
@@ -185,7 +230,7 @@ class _Worker:
     def info(self, now: float) -> WorkerInfo:
         return WorkerInfo(self.wid, self.proc.pid, self.proc.is_alive(),
                           self.job, self.heartbeat_age(now),
-                          self.respawns)
+                          self.respawns, self.start_method)
 
 
 @dataclass
@@ -204,7 +249,9 @@ class Supervisor:
 
     Callbacks (all optional, all invoked on the supervisor thread):
 
-    * ``on_done(digest, task, scale, result)`` — cell finished;
+    * ``on_done(digest, task, scale, blob)`` — cell finished; ``blob`` is
+      the worker's :func:`~repro.harness.diskcache.encode_result` bytes,
+      passed on undecoded (the daemon never needs the result);
     * ``on_failed(digest, kind, message, hang_dict)`` — deterministic
       in-task exception (never retried: re-running a deterministic
       failure only reproduces it more slowly);
@@ -218,7 +265,6 @@ class Supervisor:
                  max_strikes: int = 2,
                  on_done=None, on_failed=None, on_strike=None,
                  on_retry=None, on_quarantined=None):
-        self._ctx = mp.get_context(START_METHOD)
         self.job_timeout = job_timeout
         self.max_strikes = max_strikes
         self.on_done = on_done
@@ -235,13 +281,17 @@ class Supervisor:
         self._workers: list[_Worker] = []
         try:
             for wid in range(max(1, workers)):
-                self._workers.append(_Worker(wid, self._ctx, cache_dir))
+                self._workers.append(_Worker(wid, cache_dir))
         except BaseException:
             # A pool that cannot fully start must not leak the workers it
             # did start (run_grid falls back to serial on OSError here).
             for worker in self._workers:
                 worker.kill()
             raise
+        # Made after the first workers fork, so none of them holds it.
+        self._wake_r, wake_w = os.pipe()
+        os.set_blocking(wake_w, False)
+        self._wake_w: int | None = wake_w
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name="repro-supervisor")
         self._thread.start()
@@ -264,6 +314,7 @@ class Supervisor:
             self._jobs[digest] = _Job(task=task, scale=scale,
                                       strikes=strikes)
             self._queue.append(digest)
+            self._wake()
             return QUEUED
 
     def state(self, digest: str) -> str | None:
@@ -286,24 +337,39 @@ class Supervisor:
 
     # -- dispatch loop ------------------------------------------------------
 
+    def _wake(self) -> None:
+        """Cut the dispatch loop's current wait short."""
+        with self._lock:
+            if self._wake_w is None:
+                return                # closed
+            try:
+                os.write(self._wake_w, b"\0")
+            except OSError:
+                pass                  # full: a wake is already pending
+
     def _run(self) -> None:
-        while not self._stop.is_set():
-            self._dispatch()
-            conns = {}
-            with self._lock:
-                for worker in self._workers:
-                    if worker.proc.is_alive():
-                        conns[worker.conn] = worker
-            ready = multiprocessing.connection.wait(
-                list(conns), timeout=POLL_INTERVAL)
-            for conn in ready:
-                worker = conns[conn]
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    continue          # death; the watchdog settles it
-                self._on_message(worker, message)
-            self._watchdog()
+        try:
+            while not self._stop.is_set():
+                self._dispatch()
+                conns = {}
+                with self._lock:
+                    for worker in self._workers:
+                        if worker.proc.is_alive():
+                            conns[worker.conn] = worker
+                ready = multiprocessing.connection.wait(
+                    [self._wake_r, *conns], timeout=POLL_INTERVAL)
+                for conn in ready:
+                    if conn == self._wake_r:
+                        os.read(self._wake_r, 512)
+                        continue
+                    try:
+                        message = conn.recv()
+                    except (EOFError, OSError):
+                        continue      # death; the watchdog settles it
+                    self._on_message(conns[conn], message)
+                self._watchdog()
+        finally:
+            os.close(self._wake_r)
 
     def _dispatch(self) -> None:
         with self._lock:
@@ -339,13 +405,12 @@ class Supervisor:
                 return                # stale result from a replaced twin
             if kind == "done":
                 job.state = DONE
-                result = decode_result(message[2])
             else:
                 job.state = FAILED
                 job.error_kind, job.error, job.hang = message[2:5]
         if kind == "done":
             if self.on_done is not None:
-                self.on_done(digest, job.task, job.scale, result)
+                self.on_done(digest, job.task, job.scale, message[2])
         elif self.on_failed is not None:
             self.on_failed(digest, job.error_kind, job.error, job.hang)
 
@@ -416,7 +481,12 @@ class Supervisor:
     def close(self, drain: bool = True) -> bool:
         drained = self.drain() if drain else False
         self._stop.set()
+        self._wake()
         self._thread.join(timeout=5.0)
+        with self._lock:
+            if self._wake_w is not None:
+                os.close(self._wake_w)
+                self._wake_w = None
         for worker in self._workers:
             try:
                 worker.conn.send(None)

@@ -1,6 +1,8 @@
 """Unit tests for the DAC hardware structures: queues, expansion units,
 the affine warp executor, and the two-level affine SIMT stack."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,14 @@ from repro.affine import scalar
 from repro.compiler.decouple import decouple
 from repro.compiler.verifier import verify
 from repro.core import run_dac
-from repro.core.queues import ATQ, BarrierMarker, PerWarpQueue, TupleEntry
+from repro.core.expansion import AddressExpansionUnit
+from repro.core.queues import (
+    ATQ,
+    AddressRecord,
+    BarrierMarker,
+    PerWarpQueue,
+    TupleEntry,
+)
 from repro.isa import parse_kernel
 from repro.sim import GPUConfig, GlobalMemory, KernelLaunch
 
@@ -55,6 +64,28 @@ class TestQueues:
             q.push("c")
         assert q.pop() == "a"
         assert q.head() == "b"
+
+
+class TestAddressExpansionFills:
+    def test_out_of_order_fills_keep_the_latest_and_wake_once(self):
+        """A record's early fills may return out of order: its fill time
+        is the latest of them, and its warp's scheduler is woken once, by
+        the last one."""
+        wakes = []
+        sched = SimpleNamespace(wake=lambda: wakes.append(len(wakes)))
+        warp = SimpleNamespace(sched=sched)
+        sm = SimpleNamespace(trace_on=False, index=0)
+        aeu = AddressExpansionUnit(sm, ATQ(4))
+        record = AddressRecord(kind="data", queue_id=0, lines=[0, 128],
+                               addrs=np.zeros(32, dtype=np.int64),
+                               mask=np.ones(32, dtype=bool),
+                               fills_remaining=2)
+        aeu._on_fill(record, warp, 50)
+        assert record.fills_remaining == 1 and wakes == []
+        aeu._on_fill(record, warp, 40)
+        assert record.fill_time == 50
+        assert record.fills_remaining == 0
+        assert wakes == [0]
 
 
 def _run_dac_kernel(source, params_spec, grid=(1, 1, 1), block=(64, 1, 1),

@@ -2,10 +2,18 @@
 corrupt-cache quarantine, and failure classification.
 
 The tests marked ``resilience`` drive ``run_grid``'s real supervised
-worker pool.  Spawned workers do not see monkeypatches, so faults are
-injected through ``REPRO_CHAOS`` (:mod:`repro.service.chaos`): a worker
-that dies mid-cell, and a genuinely hung worker the grid must survive.
+worker pool.  Respawned workers are spawned and do not see monkeypatches,
+so faults are injected through ``REPRO_CHAOS``
+(:mod:`repro.service.chaos`): a worker that dies mid-cell, and a
+genuinely hung worker the grid must survive.
 """
+
+import contextlib
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -133,3 +141,58 @@ def test_hung_worker_is_quarantined_and_grid_completes(monkeypatch,
     assert done == {"CP", "ST"}
     assert report.timeouts == 1
     assert [t[0] for t in report.quarantined] == ["LIB"]
+
+
+# A fresh interpreter (one Python thread, so its pool forks) that prints
+# its workers' pids once the first cell lands.
+_LOCAL_GRID_SCRIPT = """
+import multiprocessing
+from repro.harness import configure_cache, experiment_config
+from repro.harness.parallel import run_grid
+
+def progress(*_):
+    print(" ".join(str(p.pid) for p in multiprocessing.active_children()),
+          flush=True)
+
+if __name__ == "__main__":
+    configure_cache(enabled=False)
+    cfg = experiment_config(num_sms=2)
+    run_grid([(abbr, tech, cfg) for abbr in ("CP", "ST", "HI")
+              for tech in ("baseline", "dac")],
+             "tiny", jobs=2, service=False, progress=progress)
+"""
+
+
+@pytest.mark.resilience
+def test_killed_local_grid_leaves_no_orphan_workers(tmp_path):
+    """A forked worker must not hold its own (or a sibling's) supervisor
+    pipe end open: when the process driving ``run_grid`` is SIGKILL'd
+    mid-grid, every worker sees EOF and exits."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env[chaos.ENV_SPEC] = "delay:*/*:0.5"
+    proc = subprocess.Popen([sys.executable, "-c", _LOCAL_GRID_SCRIPT],
+                            env=env, stdout=subprocess.PIPE, text=True)
+    try:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10.0
+    alive = pids
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.1)
+        alive = [pid for pid in alive if _exists(pid)]
+    for pid in alive:                  # do not leak them past the test
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    assert not alive, f"orphan workers survived: {alive}"
+
+
+def _exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, PermissionError):
+        return False
+    return True

@@ -2,6 +2,8 @@
 memo-cache installation, and graceful serial fallback when the
 supervised worker pool cannot start."""
 
+import time
+
 import pytest
 
 from repro.harness import (
@@ -144,6 +146,23 @@ def test_fallback_to_serial_on_worker_failure(monkeypatch, capsys, pool_cls):
     if pool_cls is _DeadWorkerPool:
         assert _DeadWorkerPool.started            # one worker did start
         assert not any(w.proc.is_alive() for w in _DeadWorkerPool.started)
+
+
+def test_submit_and_close_wake_the_dispatcher(monkeypatch):
+    """Jobs are dispatched on submit and the pool closes at once: with a
+    one-minute poll, a two-cell grid still returns in seconds."""
+    monkeypatch.setattr(supervisor, "POLL_INTERVAL", 60.0)
+    tasks = [("CP", "baseline", CFG), ("ST", "baseline", CFG)]
+    start = time.monotonic()
+    results = run_grid(tasks, "tiny", jobs=2, use_cache=False,
+                       service=False)
+    assert time.monotonic() - start < 10.0
+    assert set(results) == set(tasks)
+    # An idle pool, its thread parked in a one-minute wait, closes at once.
+    pool = supervisor.Supervisor(workers=1, cache_dir=None)
+    start = time.monotonic()
+    pool.close()
+    assert time.monotonic() - start < 3.0
 
 
 def test_serial_path_taken_for_single_task(monkeypatch):

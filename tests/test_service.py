@@ -11,6 +11,9 @@ socket, crash/restart — is exercised end-to-end in
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -537,9 +540,9 @@ def test_supervisor_completes_grid_and_dedups():
     done: dict = {}
     lock = threading.Lock()
 
-    def on_done(digest, task, scale, result):
+    def on_done(digest, task, scale, blob):
         with lock:
-            done[digest] = (task, result)
+            done[digest] = (task, blob)
 
     sup = Supervisor(workers=2, cache_dir=None, job_timeout=120.0,
                      on_done=on_done)
@@ -558,8 +561,12 @@ def test_supervisor_completes_grid_and_dedups():
         for digest, task in zip(digests, tasks):
             ref = runner.run_one(*task[:2], SCALE, task[2],
                                  use_cache=False)
-            assert done[digest][1].cycles == ref.cycles
-            assert done[digest][1].stats.as_dict() == ref.stats.as_dict()
+            # The supervisor hands on the worker's blob undecoded.
+            blob = done[digest][1]
+            assert isinstance(blob, bytes)
+            result = diskcache.decode_result(blob)
+            assert result.cycles == ref.cycles
+            assert result.stats.as_dict() == ref.stats.as_dict()
     finally:
         sup.close()
 
@@ -578,6 +585,68 @@ def test_supervisor_propagates_deterministic_failure():
         assert kind == "KeyError" and "NOPE" in message
         assert hang is None
         assert sup.state(digest) == "failed"
+    finally:
+        sup.close()
+
+
+# A fresh interpreter with one Python thread: its first pool forks, and
+# the respawn after a chaos ``die`` runs on the supervisor thread.
+_START_METHODS_SCRIPT = """
+import json, time
+from repro.harness import experiment_config
+from repro.service.protocol import job_digest
+from repro.service.supervisor import Supervisor
+
+if __name__ == "__main__":
+    task = ("CP", "baseline", experiment_config(num_sms=2))
+    digest = job_digest(task, "tiny")
+    sup = Supervisor(workers=2, cache_dir=None)
+    first = [w.start_method for w in sup.workers_info()]
+    sup.submit(digest, task, "tiny")
+    deadline = time.monotonic() + 60.0
+    while sup.state(digest) != "done" and time.monotonic() < deadline:
+        time.sleep(0.05)
+    info = sup.workers_info()
+    sup.close()
+    print(json.dumps({"state": sup.state(digest), "first": first,
+                      "respawned": [w.start_method for w in info
+                                    if w.respawns]}))
+"""
+
+
+@pytest.mark.resilience
+def test_single_threaded_pool_forks_and_respawns_spawn(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env[chaos.ENV_SPEC] = "die:CP/baseline@1"
+    env[chaos.ENV_DIR] = str(tmp_path / "chaos-tokens")
+    out = subprocess.run([sys.executable, "-c", _START_METHODS_SCRIPT],
+                         env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report == {"state": "done", "first": ["fork", "fork"],
+                      "respawned": ["spawn"]}
+
+
+@pytest.mark.resilience
+def test_supervisor_built_off_the_main_thread_spawns():
+    done: list = []
+    built: dict = {}
+
+    def build():
+        built["sup"] = Supervisor(
+            workers=1, cache_dir=None,
+            on_done=lambda digest, *rest: done.append(digest))
+
+    thread = threading.Thread(target=build)
+    thread.start()
+    thread.join()
+    sup = built["sup"]
+    try:
+        assert [w.start_method for w in sup.workers_info()] == ["spawn"]
+        digest = job_digest(TASK, SCALE)
+        sup.submit(digest, TASK, SCALE)
+        _wait_until(lambda: done)
+        assert done == [digest]
     finally:
         sup.close()
 

@@ -5,8 +5,11 @@ Run against an already-listening daemon (``$REPRO_SERVICE_SOCKET``):
 submits one small grid from two concurrent clients, SIGKILLs a worker
 mid-flight, and requires both clients to receive the complete grid —
 the minimum end-to-end proof that supervision (respawn + retry + dedup)
-works outside pytest.  Exits non-zero on any shortfall; the caller owns
-the daemon's lifecycle (this script only sends the ``shutdown`` op).
+works outside pytest.  After the ``shutdown`` op it also requires every
+worker pid that ``status`` ever reported (the respawned one included) to
+exit within 10 s: no worker outlives the daemon.  Exits non-zero on any
+shortfall; the caller owns the daemon's lifecycle (this script only
+sends the ``shutdown`` op).
 """
 
 import os
@@ -49,6 +52,7 @@ def main() -> int:
 
     with ServiceClient() as conn:
         workers = conn.status()["workers"]
+        pids = {w["pid"] for w in workers}
         os.kill(workers[0]["pid"], signal.SIGKILL)
         print(f"service smoke: killed worker pid={workers[0]['pid']}")
 
@@ -74,8 +78,9 @@ def main() -> int:
         deadline = time.monotonic() + 10.0
         respawns = 0
         while respawns < 1 and time.monotonic() < deadline:
-            respawns = sum(w["respawns"]
-                           for w in conn.status()["workers"])
+            workers = conn.status()["workers"]
+            pids.update(w["pid"] for w in workers)
+            respawns = sum(w["respawns"] for w in workers)
             if respawns < 1:
                 time.sleep(0.1)
         if respawns < 1:
@@ -83,9 +88,26 @@ def main() -> int:
                   file=sys.stderr)
             status = 1
         conn.shutdown()
+
+    deadline = time.monotonic() + 10.0
+    while pids and time.monotonic() < deadline:
+        time.sleep(0.1)
+        pids = {pid for pid in pids if _exists(pid)}
+    if pids:
+        print(f"service smoke: workers outlived the daemon: "
+              f"{sorted(pids)}", file=sys.stderr)
+        status = 1
     if status == 0:
         print("service smoke: ok")
     return status
+
+
+def _exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, PermissionError):
+        return False
+    return True
 
 
 if __name__ == "__main__":
