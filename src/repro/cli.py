@@ -9,10 +9,10 @@ Commands:
   queue-occupancy CSV;
 * ``decouple ABBR | --file F`` — show a kernel's affine / non-affine
   streams and the verifier's verdict;
-* ``table1`` — the simulated machine configuration;
-* ``area`` — DAC's §4.8 area overhead;
-* ``figures [NAME]`` — regenerate evaluation figures (fig6, fig16, fig17,
-  fig18, fig19, fig20, fig21, or ``all``);
+* ``figures [NAME]`` — regenerate the paper's evaluation: one table or
+  figure (table1, table2, fig6, fig16, ..., fig21, area), ``all`` of
+  them, or ``claims``, which checks the paper's claims against them and
+  exits 1 when one breaks that is not a known deviation;
 * ``lint`` — static diagnostics (``RPL0xx``) over benchmarks or an
   assembly file; ``--campaign`` differentially validates every diagnostic
   class against the simulator; ``--sarif`` exports findings as SARIF;
@@ -33,25 +33,17 @@ import argparse
 import sys
 
 from .compiler import decouple, verify
-from .energy import area_report, energy_of
+from .energy import energy_of
 from .harness import (
+    FIGURES,
     ascii_table,
     configure_cache,
     profile,
     experiment_config,
-    fig6_report,
-    fig16_report,
-    fig16_speedup,
-    fig17_instruction_counts,
-    fig18_coverage,
-    fig19_affine_loads,
-    fig20_mta_coverage,
-    fig21_energy,
-    fig21_report,
     run_one,
     run_suite,
 )
-from .harness.parallel import run_grid
+from .harness.parallel import GridReport, run_grid
 from .isa import Kernel, parse_kernel
 from .trace import (
     Tracer,
@@ -59,13 +51,7 @@ from .trace import (
     write_chrome_trace,
     write_occupancy_csv,
 )
-from .workloads import (
-    ALL_BENCHMARKS,
-    COMPUTE_ORDER,
-    MEMORY_ORDER,
-    get,
-    table2,
-)
+from .workloads import ALL_BENCHMARKS, get, table2
 
 
 def _add_cache_args(parser) -> None:
@@ -214,96 +200,44 @@ def _cmd_decouple(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_table1(args) -> int:
-    print(experiment_config(args.sms).table1())
-    return 0
-
-
-def _cmd_area(args) -> int:
-    print(area_report().table())
-    return 0
-
-
-#: Simulation grid each figure needs — used to prewarm caches in parallel
-#: before the (serial) figure drivers assemble their tables.
-_FIGURE_NEEDS = {
-    "fig6": ((), ()),                 # static analysis only
-    "fig16": ("all", ("baseline", "cae", "mta", "dac")),
-    "fig17": ("all", ("baseline", "dac")),
-    "fig18": ("compute", ("baseline", "cae", "dac")),
-    "fig19": ("memory", ("dac",)),
-    "fig20": ("memory", ("mta",)),
-    "fig21": ("all", ("baseline", "dac")),
-}
-
-
-def _prewarm_figures(names, scale, config, jobs, timeout=None, retries=1,
-                     service=None) -> None:
-    orders = {"all": COMPUTE_ORDER + MEMORY_ORDER,
-              "compute": COMPUTE_ORDER, "memory": MEMORY_ORDER, "": []}
-    tasks = []
-    seen = set()
-    for name in names:
-        benches, techniques = _FIGURE_NEEDS.get(name, ((), ()))
-        for abbr in orders.get(benches, []):
-            for technique in techniques:
-                if (abbr, technique) not in seen:
-                    seen.add((abbr, technique))
-                    tasks.append((abbr, technique, config))
-    if tasks:
-        from .harness.parallel import GridReport
-        report = GridReport()
-        run_grid(tasks, scale, jobs=jobs, timeout=timeout, retries=retries,
-                 report=report, service=service,
-                 progress=lambda done, total, abbr, tech, _res: print(
-                     f"  [{done}/{total}] {abbr}/{tech}", file=sys.stderr))
-        print(f"  prewarm: {report.summary()}", file=sys.stderr)
+def _prewarm(cells, scale, args) -> None:
+    """Simulate every cell over the worker pool before the (serial)
+    figure drivers assemble their tables from the caches."""
+    tasks = list(dict.fromkeys(cells))
+    if not tasks:
+        return
+    report = GridReport()
+    run_grid(tasks, scale, jobs=args.jobs, timeout=args.timeout,
+             retries=args.retries, report=report, service=_service_arg(args),
+             progress=lambda done, total, abbr, tech, _res: print(
+                 f"  [{done}/{total}] {abbr}/{tech}", file=sys.stderr))
+    print(f"  prewarm: {report.summary()}", file=sys.stderr)
 
 
 def _cmd_figures(args) -> int:
     _configure_harness(args)
     config = experiment_config(args.sms)
     name = args.figure
-
-    def fig17():
-        data = fig17_instruction_counts(args.scale, config)
-        rows = [[a, v["nonaffine"], v["affine"], v["total"]]
-                for a, v in data.items()]
-        return ascii_table(["bench", "non-affine", "affine", "total"], rows,
-                           "Figure 17")
-
-    def two_col(title, data):
-        return ascii_table(["bench", "value"],
-                           [[a, v] for a, v in data.items()], title)
-
-    figures = {
-        "fig6": lambda: fig6_report(),
-        "fig16": lambda: fig16_report(fig16_speedup(args.scale, config)),
-        "fig17": fig17,
-        "fig18": lambda: ascii_table(
-            ["bench", "CAE", "DAC"],
-            [[a, v["cae"], v["dac"]]
-             for a, v in fig18_coverage(args.scale, config).items()],
-            "Figure 18"),
-        "fig19": lambda: two_col("Figure 19",
-                                 fig19_affine_loads(args.scale, config)),
-        "fig20": lambda: two_col("Figure 20",
-                                 fig20_mta_coverage(args.scale, config)),
-        "fig21": lambda: fig21_report(fig21_energy(args.scale, config)),
-    }
-    names = list(figures) if name == "all" else [name]
-    for key in names:
-        if key not in figures:
-            print(f"unknown figure {key!r}; choose from "
-                  f"{', '.join(figures)} or 'all'", file=sys.stderr)
-            return 2
+    if name == "claims":
+        from .harness.claims import (claims_cells, claims_ok, claims_report,
+                                     evaluate, measure)
+        if args.jobs > 1:
+            _prewarm(claims_cells(config), args.scale, args)
+        verdicts = evaluate(measure(args.scale, config))
+        print(claims_report(verdicts))
+        return 0 if claims_ok(verdicts) else 1
+    if name != "all" and name not in FIGURES:
+        print(f"unknown figure {name!r}; choose from "
+              f"{', '.join(FIGURES)}, 'all' or 'claims'", file=sys.stderr)
+        return 2
+    names = list(FIGURES) if name == "all" else [name]
     if args.jobs > 1:
-        _prewarm_figures(names, args.scale, config, args.jobs,
-                         timeout=args.timeout, retries=args.retries,
-                         service=_service_arg(args))
-    for key in names:
-        print(figures[key]())
-        print()
+        _prewarm([cell for key in names
+                  for cell in FIGURES[key].cells(config)], args.scale, args)
+    for i, key in enumerate(names):
+        if i:
+            print()
+        print(FIGURES[key].report(args.scale, config))
     return 0
 
 
@@ -537,14 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="summary and verification only")
     dec.set_defaults(func=_cmd_decouple)
 
-    t1 = sub.add_parser("table1", help="print the machine configuration")
-    t1.add_argument("--sms", type=int, default=4)
-    t1.set_defaults(func=_cmd_table1)
-
-    sub.add_parser("area", help="DAC area overhead (§4.8)") \
-        .set_defaults(func=_cmd_area)
-
-    figs = sub.add_parser("figures", help="regenerate evaluation figures")
+    figs = sub.add_parser(
+        "figures", help="regenerate the evaluation's tables and figures, "
+                        "or check the paper's claims against them")
     figs.add_argument("figure", nargs="?", default="all")
     figs.add_argument("--scale", default="tiny", choices=("tiny", "paper"))
     figs.add_argument("--sms", type=int, default=4)

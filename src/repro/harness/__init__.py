@@ -2,17 +2,24 @@
 drivers, reporting."""
 
 from .experiments import (
+    FIGURES,
+    Figure,
     fig6_affine_potential,
     fig6_report,
     fig16_report,
     fig16_speedup,
     fig17_instruction_counts,
+    fig17_report,
     fig18_coverage,
+    fig18_report,
     fig19_affine_loads,
+    fig19_report,
     fig20_mta_coverage,
+    fig20_report,
     fig21_energy,
     fig21_report,
     table2_classification,
+    table2_report,
 )
 from .diskcache import (
     DiskCache,
@@ -46,7 +53,7 @@ from .runner import (
 )
 
 __all__ = [
-    "DiskCache", "Geomean", "GridReport", "Profile",
+    "DiskCache", "FIGURES", "Figure", "Geomean", "GridReport", "Profile",
     "RemoteTaskError", "ServiceClient",
     "ServiceUnavailable", "SweepPoint", "SweepResult", "TECHNIQUES",
     "ascii_table",
@@ -55,9 +62,10 @@ __all__ = [
     "default_socket_path", "disk_cache", "try_connect",
     "experiment_config", "fig6_affine_potential", "fig6_report",
     "fig16_report", "fig16_speedup", "fig17_instruction_counts",
-    "fig18_coverage", "fig19_affine_loads", "fig20_mta_coverage",
+    "fig17_report", "fig18_coverage", "fig18_report", "fig19_affine_loads",
+    "fig19_report", "fig20_mta_coverage", "fig20_report",
     "fig21_energy", "fig21_report", "override", "profile",
     "run_benchmark", "run_grid", "run_launch",
     "run_one", "run_suite", "simulate_launch", "sweep",
-    "to_csv", "to_json", "table2_classification",
+    "to_csv", "to_json", "table2_classification", "table2_report",
 ]

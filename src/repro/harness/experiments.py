@@ -1,17 +1,19 @@
 """Per-figure experiment drivers: one function per table/figure of the
-paper's evaluation (see the experiment index in DESIGN.md)."""
+paper's evaluation (see the experiment index in DESIGN.md), one
+``*_report`` formatter per figure, and :data:`FIGURES`, the registry
+``repro figures NAME`` prints from."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..compiler.affine_analysis import AffineAnalysis
 from ..config import GPUConfig
-from ..energy import energy_of
-from ..sim.gpu import simulate
-from ..workloads import COMPUTE_ORDER, MEMORY_ORDER, get
+from ..energy import area_report, energy_of
+from ..workloads import COMPUTE_ORDER, MEMORY_ORDER, get, table2
 from .report import ascii_table, bar
-from .runner import Geomean, experiment_config, run_one, run_suite
+from .runner import TECHNIQUES, Geomean, experiment_config, run_one, run_suite
 
 ALL_ORDER = COMPUTE_ORDER + MEMORY_ORDER
 
@@ -49,11 +51,11 @@ def table2_classification(scale: str = "paper",
                           config: GPUConfig | None = None) \
         -> dict[str, dict]:
     config = config or experiment_config()
+    perfect_config = config.with_perfect_memory()
     out = {}
     for abbr in ALL_ORDER:
         base = run_one(abbr, "baseline", scale, config)
-        launch = get(abbr).launch(scale)
-        perfect = simulate(launch, config.with_perfect_memory())
+        perfect = run_one(abbr, "baseline", scale, perfect_config)
         speedup = base.cycles / max(1, perfect.cycles)
         out[abbr] = {
             "perfect_speedup": speedup,
@@ -61,6 +63,14 @@ def table2_classification(scale: str = "paper",
             "paper": get(abbr).category,
         }
     return out
+
+
+def table2_report(data: dict[str, dict]) -> str:
+    rows = [[abbr, d["perfect_speedup"], d["measured"], d["paper"]]
+            for abbr, d in data.items()]
+    return (table2() + "\n\n" + ascii_table(
+        ["bench", "perfect-mem speedup", "measured", "paper"], rows,
+        "Classification by the perfect-memory rule (>= 1.5x)"))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +158,13 @@ def fig17_instruction_counts(scale: str = "paper",
     return out
 
 
+def fig17_report(data: dict[str, dict[str, float]]) -> str:
+    rows = [[a, v["nonaffine"], v["affine"], v["total"]]
+            for a, v in data.items()]
+    return ascii_table(["bench", "non-affine", "affine", "total"], rows,
+                       "Figure 17")
+
+
 # ---------------------------------------------------------------------------
 # Figure 18: affine instruction coverage, DAC vs CAE (compute benchmarks).
 
@@ -171,6 +188,17 @@ def fig18_coverage(scale: str = "paper",
     return out
 
 
+def fig18_report(data: dict[str, dict[str, float]]) -> str:
+    return ascii_table(["bench", "CAE", "DAC"],
+                       [[a, v["cae"], v["dac"]] for a, v in data.items()],
+                       "Figure 18")
+
+
+def _two_column(title: str, data: dict[str, float]) -> str:
+    return ascii_table(["bench", "value"],
+                       [[a, v] for a, v in data.items()], title)
+
+
 # ---------------------------------------------------------------------------
 # Figure 19: % of global/local load requests issued by the affine warp.
 
@@ -190,6 +218,10 @@ def fig19_affine_loads(scale: str = "paper",
     return out
 
 
+def fig19_report(data: dict[str, float]) -> str:
+    return _two_column("Figure 19", data)
+
+
 # ---------------------------------------------------------------------------
 # Figure 20: MTA prefetcher coverage.
 
@@ -205,6 +237,10 @@ def fig20_mta_coverage(scale: str = "paper",
     out["MEAN"] = sum(v for k, v in out.items() if k != "MEAN") \
         / len(MEMORY_ORDER)
     return out
+
+
+def fig20_report(data: dict[str, float]) -> str:
+    return _two_column("Figure 20", data)
 
 
 # ---------------------------------------------------------------------------
@@ -238,3 +274,53 @@ def fig21_report(data: dict[str, dict[str, float]]) -> str:
     return ascii_table(
         ["bench", "DAC ovh", "ALU", "RF", "other dyn", "static", "total"],
         rows, "Figure 21: DAC energy normalized to baseline")
+
+
+# ---------------------------------------------------------------------------
+# The registry behind ``repro figures NAME``.
+
+Cell = tuple[str, str, GPUConfig]       # (benchmark, technique, config)
+
+
+def _grid(order, techniques) -> Callable[[GPUConfig], list[Cell]]:
+    return lambda config: [(abbr, tech, config) for abbr in order
+                           for tech in techniques]
+
+
+def _table2_cells(config: GPUConfig) -> list[Cell]:
+    return [(abbr, "baseline", c) for abbr in ALL_ORDER
+            for c in (config, config.with_perfect_memory())]
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One name of ``repro figures``: its text at a scale and machine,
+    and the simulation cells it reads (prewarmed over the worker pool
+    before a ``--jobs N`` run formats anything)."""
+
+    report: Callable[[str, GPUConfig], str]
+    cells: Callable[[GPUConfig], list[Cell]] = _grid((), ())
+
+
+#: Every name ``repro figures all`` prints, in order.
+FIGURES: dict[str, Figure] = {
+    "table1": Figure(lambda scale, config: config.table1()),
+    "table2": Figure(lambda scale, config: table2_report(
+        table2_classification(scale, config)), _table2_cells),
+    "fig6": Figure(lambda scale, config: fig6_report()),
+    "fig16": Figure(lambda scale, config: fig16_report(
+        fig16_speedup(scale, config)), _grid(ALL_ORDER, TECHNIQUES)),
+    "fig17": Figure(lambda scale, config: fig17_report(
+        fig17_instruction_counts(scale, config)),
+        _grid(ALL_ORDER, ("baseline", "dac"))),
+    "fig18": Figure(lambda scale, config: fig18_report(
+        fig18_coverage(scale, config)),
+        _grid(COMPUTE_ORDER, ("baseline", "cae", "dac"))),
+    "fig19": Figure(lambda scale, config: fig19_report(
+        fig19_affine_loads(scale, config)), _grid(MEMORY_ORDER, ("dac",))),
+    "fig20": Figure(lambda scale, config: fig20_report(
+        fig20_mta_coverage(scale, config)), _grid(MEMORY_ORDER, ("mta",))),
+    "fig21": Figure(lambda scale, config: fig21_report(
+        fig21_energy(scale, config)), _grid(ALL_ORDER, ("baseline", "dac"))),
+    "area": Figure(lambda scale, config: area_report().table()),
+}

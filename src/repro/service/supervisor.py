@@ -74,7 +74,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import util
+from multiprocessing import spawn, util
 from multiprocessing.connection import Connection
 
 from ..harness.diskcache import encode_result
@@ -98,7 +98,13 @@ POLL_INTERVAL = 0.1
 
 def _start_context():
     """Fork while the process has one Python thread, else spawn (see the
-    module docstring for why)."""
+    module docstring for why).
+
+    A spawned child re-imports its parent's ``__main__``.  If that is a
+    script with no ``if __name__ == "__main__":`` guard, its top-level
+    grid would start again inside the worker, on a pool of its own; raise
+    the bootstrapping ``RuntimeError`` that spawn itself raises there."""
+    spawn._check_not_importing_main()
     single = threading.active_count() == 1
     return mp.get_context("fork" if single else "spawn")
 

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
-from repro.harness import clear_cache, configure_cache
+from repro.energy import area_report
+from repro.harness import clear_cache, configure_cache, experiment_config
 
 
 @pytest.fixture(autouse=True)
@@ -59,10 +60,12 @@ class TestParser:
         ["figures", "--checkpoint", "D"],
         ["compare", "CP", "--retry-quarantined"],
         ["serve", "--no-cache"],
-        ["faults"]],
+        ["faults"],
+        ["table1"],
+        ["area"]],
         ids=["queue-limit", "heartbeat-timeout", "drain-timeout",
              "checkpoint", "retry-quarantined", "serve-no-cache",
-             "faults"])
+             "faults", "table1", "area"])
     def test_retired_flags_are_errors(self, argv):
         with pytest.raises(SystemExit) as info:
             build_parser().parse_args(argv)
@@ -119,12 +122,13 @@ class TestCommands:
         assert "Compute Intensive" in out and "BFS" in out
 
     def test_table1(self, capsys):
-        assert main(["table1"]) == 0
-        assert "GTX480" in capsys.readouterr().out
+        assert main(["figures", "table1"]) == 0
+        out = capsys.readouterr().out
+        assert out == experiment_config().table1() + "\n"
 
     def test_area(self, capsys):
-        assert main(["area"]) == 0
-        assert "Overhead" in capsys.readouterr().out
+        assert main(["figures", "area"]) == 0
+        assert capsys.readouterr().out == area_report().table() + "\n"
 
     def test_run_baseline(self, capsys):
         assert main(["run", "CS", "--technique", "baseline",
@@ -183,6 +187,7 @@ class TestCommands:
 
     def test_figures_unknown(self, capsys):
         assert main(["figures", "fig99", "--sms", "2"]) == 2
+        assert "'claims'" in capsys.readouterr().err
 
     def test_figures_fig6(self, capsys):
         assert main(["figures", "fig6", "--sms", "2"]) == 0

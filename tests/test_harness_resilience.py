@@ -196,3 +196,35 @@ def _exists(pid: int) -> bool:
     except (ProcessLookupError, PermissionError):
         return False
     return True
+
+
+# A script with no ``if __name__ == "__main__":`` guard.  A respawned
+# worker is spawned, and a spawned child re-imports its parent's
+# ``__main__``: the grid must not start again in there.  The respawn
+# dies at start-up instead, so the cell it held may be quarantined.
+_UNGUARDED_SCRIPT = """
+from repro.harness import configure_cache, experiment_config
+from repro.harness.parallel import run_grid
+
+configure_cache(enabled=False)
+cfg = experiment_config(num_sms=2)
+results = run_grid([(abbr, "baseline", cfg) for abbr in ("CP", "ST", "HI")],
+                   "tiny", jobs=2, service=False)
+print("grid done", len(results), flush=True)
+"""
+
+
+@pytest.mark.resilience
+def test_unguarded_script_runs_its_grid_once(tmp_path):
+    script = tmp_path / "unguarded.py"
+    script.write_text(_UNGUARDED_SCRIPT)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env[chaos.ENV_SPEC] = "die:CP/baseline@1"
+    env[chaos.ENV_DIR] = str(tmp_path / "chaos-tokens")
+    out = subprocess.run([sys.executable, str(script)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0
+    assert len(out.stdout.splitlines()) == 1
+    assert out.stdout.startswith("grid done")
+    # The respawned worker refused to bootstrap, as spawn refuses it.
+    assert "bootstrapping phase" in out.stderr

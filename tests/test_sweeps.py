@@ -33,14 +33,27 @@ class TestSweep:
         assert len(result.points) == 2
         assert all(p.speedup > 0 for p in result.points)
         assert all("dac.records" in p.stats for p in result.points)
+        # Deeper per-warp queues run further ahead: never much slower.
+        assert result.points[1].speedup >= result.points[0].speedup * 0.95
         text = result.table()
         assert "dac.pwaq_entries" in text and "CS" in text
 
     def test_sweep_other_technique(self):
         cfg = experiment_config(num_sms=2)
         result = sweep("CS", "mta.prefetch_degree", [0, 4], cfg,
-                       technique="mta", scale="tiny")
+                       technique="mta", scale="tiny",
+                       keep_stats=("mta.prefetches",))
         assert len(result.points) == 2
+        # Degree 0 disables prefetching entirely.
+        assert result.points[0].stats["mta.prefetches"] == 0
+
+    def test_sweep_scheduler_policy(self):
+        """Table 1's two-level scheduler and loose round-robin both
+        finish, within a factor of two of each other."""
+        cfg = experiment_config(num_sms=2)
+        result = sweep("MC", "scheduler", ["two_level", "lrr"], cfg,
+                       technique="baseline", scale="tiny")
+        assert all(0.5 < p.speedup < 2.0 for p in result.points)
 
     def test_sweep_parallel_matches_serial(self):
         from repro.harness import clear_cache
